@@ -39,10 +39,26 @@ def _read_knot_file(path: str) -> list[FormalKnot]:
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     out = []
-    for line in lines:
-        if line:
+    for number, line in enumerate(lines, 1):
+        if not line:
+            continue
+        try:
             out.append(FormalKnot.from_json(line))
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            # A JSON value of the wrong shape fails inside from_records with
+            # whichever of these its first bad access raises.
+            raise DomainError(f"{path}, line {number}: not a serialized knot: {exc!r}") from exc
     return out
+
+
+def _depth(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid depth {text!r}") from None
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"depth must be non-negative, got {depth}")
+    return depth
 
 
 def _cmd_poly(args) -> dict:
@@ -193,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     certify.set_defaults(func=_cmd_certify)
 
     certify_all = sub.add_parser("certify-all", help="certificates for all vertex pairs up to a depth")
-    certify_all.add_argument("--depth", type=int, required=True)
+    certify_all.add_argument("--depth", type=_depth, required=True, help="non-negative tree depth")
     certify_all.set_defaults(func=_cmd_certify_all)
 
     detour = sub.add_parser("detour", help="reroute a knot path around forbidden knots")

@@ -46,9 +46,6 @@ class AlgebraicAngle:
         lo, hi = sturm.refine_root(self.poly, self.lo, self.hi, (self.hi - self.lo) / 2)
         return AlgebraicAngle(self.poly, lo, hi, self.upper)
 
-    def x_interval(self) -> tuple[Fraction, Fraction]:
-        return self.lo, self.hi
-
     def payload(self) -> dict:
         return {
             "poly": list(self.poly),
@@ -116,10 +113,8 @@ def _cos_isolation(n: int) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple
     for j in range(m + 1):
         c = Fraction(round(2 * math.cos(math.pi * (2 * j + 1) / n) * den), den)
         cuts.append(max(Fraction(-2), min(Fraction(2), c)))
-    values = [sturm.peval(poly, c) for c in cuts]
-    alternating = all(v != 0 for v in values) and all(
-        (a > 0) != (b > 0) for a, b in zip(values, values[1:])
-    )
+    signs = [sturm.psign(poly, c) for c in cuts]
+    alternating = all(signs) and all(a != b for a, b in zip(signs, signs[1:]))
     if alternating:
         ivs = tuple((cuts[j + 1], cuts[j]) for j in range(m))
         return ivs, poly
@@ -189,10 +184,6 @@ def angle_cmp(a: Angle, b: Angle) -> int:
     return xcmp if upper else -xcmp
 
 
-def angle_eq(a: Angle, b: Angle) -> bool:
-    return angle_cmp(a, b) == 0
-
-
 def angle_payload(a: Angle):
     if isinstance(a, AlgebraicAngle):
         return a.payload()
@@ -232,20 +223,16 @@ class StepFun:
         for x, y in zip(bps, bps[1:]):
             if angle_cmp(x, y) == 0:
                 raise DomainError("breakpoints must be distinct")
-        # Drop spurious breakpoints where the value does not jump.
-        changed = True
-        while changed and len(bps) > 1:
-            changed = False
-            for i in range(len(bps)):
-                if vals[i] == vals[i - 1]:
-                    del bps[i], vals[i]
-                    changed = True
-                    break
-        if len(bps) == 1:
-            # A single breakpoint cannot separate two different values.
-            bps, vals = [], [vals[0]]
-        self.breakpoints = tuple(bps)
-        self.values = tuple(vals)
+        # Drop spurious breakpoints where the value does not jump, comparing
+        # circularly.  A single breakpoint is its own neighbour, so it goes
+        # too: it cannot separate two different values.
+        keep = [i for i in range(len(bps)) if vals[i] != vals[i - 1]]
+        if not keep:
+            self.breakpoints = ()
+            self.values = (vals[0],)
+            return
+        self.breakpoints = tuple(bps[i] for i in keep)
+        self.values = tuple(vals[i] for i in keep)
 
     @classmethod
     def constant(cls, value: int) -> "StepFun":
@@ -330,15 +317,32 @@ class StepFun:
 
 
 def _merged_events(f: StepFun, g: StepFun) -> list[tuple[Angle, int, int]]:
-    """Distinct breakpoints of f and g with the values of both just after each."""
-    angles: list[Angle] = list(f.breakpoints) + [
-        b for b in g.breakpoints if all(angle_cmp(b, a) != 0 for a in f.breakpoints)
-    ]
-    angles.sort(key=_ANGLE_KEY)
+    """Distinct breakpoints of f and g in circular order, with the values of
+    both just after each; a breakpoint shared by both keeps f's angle.
+
+    A two-pointer merge of the sorted breakpoint lists: at most one
+    angle_cmp per event.  Before the first breakpoint each function takes
+    its last value, the one on the arc that wraps through turn 0.
+    """
+    fb, gb = f.breakpoints, g.breakpoints
+    fa, ga = f.values[-1], g.values[-1]
+    i = j = 0
     out = []
-    for e in angles:
-        fa = f.values[f._arc_index(e)] if f.breakpoints else f.values[0]
-        ga = g.values[g._arc_index(e)] if g.breakpoints else g.values[0]
+    while i < len(fb) or j < len(gb):
+        if j == len(gb):
+            c = -1
+        elif i == len(fb):
+            c = 1
+        else:
+            c = angle_cmp(fb[i], gb[j])
+        if c <= 0:
+            e, fa = fb[i], f.values[i]
+            i += 1
+        if c >= 0:
+            if c > 0:
+                e = gb[j]
+            ga = g.values[j]
+            j += 1
         out.append((e, fa, ga))
     return out
 
@@ -395,20 +399,6 @@ class RootIsolation:
             ivs.append((lo, hi))
         return dataclasses.replace(self, intervals=tuple(ivs))
 
-    def circle_angles(self) -> list[Angle]:
-        """All circle roots in ascending circular order starting just above 0."""
-        interior = self.interior_intervals()
-        out: list[Angle] = []
-        if self.root_at_zero_turn():
-            out.append(Fraction(0))
-        for lo, hi in reversed(interior):
-            out.append(AlgebraicAngle(self.interior_poly, lo, hi, upper=False))
-        if self.root_at_half_turn():
-            out.append(HALF)
-        for lo, hi in interior:
-            out.append(AlgebraicAngle(self.interior_poly, lo, hi, upper=True))
-        return out
-
     def payload(self) -> dict:
         return {
             "intervals": [[str(lo), str(hi)] for lo, hi in self.intervals],
@@ -429,7 +419,7 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     interior = qt
     degenerate: list[tuple[Fraction, Fraction]] = []
     for c in (-2, 2):
-        if sturm.peval(interior, c) == 0:
+        if sturm.psign(interior, c) == 0:
             quo, rem = sturm.divmod_int_exact(interior, (-c, 1))
             assert not rem
             interior = quo
@@ -468,19 +458,18 @@ def _separate_intervals(
 def _gap_sign(q: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     if lo >= hi:
         return 0
-    v = sturm.peval(q, (lo + hi) / 2)
-    return (v > 0) - (v < 0)
+    return sturm.psign(q, (lo + hi) / 2)
 
 
 def _check_simple_circle_roots(d: LaurentPoly, q: Sequence[int]) -> None:
-    if sturm.peval(q, -2) == 0:
+    if sturm.psign(q, -2) == 0:
         raise NonSimpleRootError(
             f"{d} vanishes at t = -1, a repeated circle root at turn 1/2"
         )
     g = sturm.pgcd(q, sturm.pderiv(q))
     if sturm.degree(g) > 0:
         gt = sturm.square_free_part(g)
-        if sturm.peval(gt, -2) == 0 or sturm.peval(gt, 2) == 0:
+        if sturm.psign(gt, -2) == 0 or sturm.psign(gt, 2) == 0:
             raise NonSimpleRootError(f"{d} has a repeated circle root")
         if sturm.count_roots(sturm.sturm_chain(gt), Fraction(-2), Fraction(2)) > 0:
             raise NonSimpleRootError(f"{d} has a repeated circle root")

@@ -2,7 +2,10 @@
 
 Polynomials are tuples of coefficients in ascending degree order with the
 leading coefficient nonzero; () is the zero polynomial.  All arithmetic is
-exact over the integers and rationals.
+exact over the integers and rationals.  Sign tests, which are all that root
+counting, splitting, isolation and refinement consult, are integer-only:
+psign clears the denominator of the rational point instead of evaluating
+over Fraction; peval is the Fraction evaluation it is tested against.
 """
 
 from __future__ import annotations
@@ -34,6 +37,22 @@ def peval(f: Sequence, x):
     return acc
 
 
+def psign(f: Sequence[int], x) -> int:
+    """Sign (-1, 0 or 1) of the integer polynomial f at the rational x.
+
+    With x = n/d and d > 0 this is the sign of d^deg * f(n/d), accumulated
+    by Horner's rule as acc*n + c*d^k, so no Fraction is built.
+    """
+    if not f:
+        return 0
+    n, d = x.numerator, x.denominator
+    acc, dk = f[-1], 1
+    for c in reversed(f[:-1]):
+        dk *= d
+        acc = acc * n + c * dk
+    return (acc > 0) - (acc < 0)
+
+
 def pderiv(f: Sequence) -> tuple:
     return tuple(i * c for i, c in enumerate(f))[1:] if len(f) > 1 else ()
 
@@ -51,11 +70,6 @@ def pmul(f: Sequence, g: Sequence) -> tuple:
             for j, b in enumerate(g):
                 out[i + j] += a * b
     return trim(out)
-
-
-def psub(f: Sequence, g: Sequence) -> tuple:
-    n = max(len(f), len(g))
-    return trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
 
 
 def pdivmod(f: Sequence, g: Sequence) -> tuple[tuple, tuple]:
@@ -192,12 +206,11 @@ def sign_variations(values: Sequence) -> int:
 
 def count_roots(chain: list[IntPoly], a, b) -> int:
     """Number of distinct roots in the open interval (a, b); endpoints must not be roots."""
-    f = chain[0]
-    if peval(f, a) == 0 or peval(f, b) == 0:
+    sa = [psign(p, a) for p in chain]
+    sb = [psign(p, b) for p in chain]
+    if sa[0] == 0 or sb[0] == 0:
         raise ValueError("interval endpoints must not be roots")
-    va = sign_variations([peval(p, a) for p in chain])
-    vb = sign_variations([peval(p, b) for p in chain])
-    return va - vb
+    return sign_variations(sa) - sign_variations(sb)
 
 
 def split_point(f: Sequence, lo: Rat, hi: Rat) -> Rat:
@@ -205,14 +218,14 @@ def split_point(f: Sequence, lo: Rat, hi: Rat) -> Rat:
     width = hi - lo
     for den in (2, 3, 4, 5, 7, 8, 11, 13, 16, 17, 19, 23):
         x = lo + width / den
-        if peval(f, x) != 0:
+        if psign(f, x) != 0:
             return x
     # f has finitely many roots, so some dyadic point in the interval is free.
     den = 32
     while True:
         for num in range(1, den, 2):
             x = lo + width * Fraction(num, den)
-            if peval(f, x) != 0:
+            if psign(f, x) != 0:
                 return x
         den *= 2
 
@@ -222,7 +235,7 @@ def isolate_roots(f: Sequence, lo: Rat, hi: Rat) -> list[tuple[Rat, Rat]]:
     the square-free polynomial f in (lo, hi); endpoints are never roots."""
     f = primitive(f)
     lo, hi = Fraction(lo), Fraction(hi)
-    if peval(f, lo) == 0 or peval(f, hi) == 0:
+    if psign(f, lo) == 0 or psign(f, hi) == 0:
         raise ValueError("isolation endpoints must not be roots")
     chain = sturm_chain(f)
     out: list[tuple[Rat, Rat]] = []
@@ -244,10 +257,10 @@ def isolate_roots(f: Sequence, lo: Rat, hi: Rat) -> list[tuple[Rat, Rat]]:
 
 def refine_root(f: Sequence, lo: Rat, hi: Rat, width: Rat) -> tuple[Rat, Rat]:
     """Shrink an isolating interval of f below the requested width by bisection."""
-    slo = peval(f, lo)
+    slo = psign(f, lo)
     while hi - lo > width:
         m = split_point(f, lo, hi)
-        sm = peval(f, m)
+        sm = psign(f, m)
         if (slo > 0) != (sm > 0):
             hi = m
         else:

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from gordian.cli import main
 from gordian.knots import UNKNOT, generator_knot
 from gordian.laurent import parse_poly
@@ -128,3 +130,30 @@ def test_detour_files(capsys, tmp_path):
 def test_missing_file_is_domain_error(capsys):
     code, doc = run(capsys, "detour", "--path", "/nonexistent", "--forbidden", "/nonexistent")
     assert code == 1 and doc["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "bad_line, cause",
+    [
+        ("not json", "JSONDecodeError"),
+        ('{"p": 3}', "AttributeError"),
+        ('[{"mirrored": false, "multiplicity": 1}]', "KeyError"),
+        ("3", "TypeError"),
+        ('[{"p": "x", "mirrored": false}]', "ValueError"),
+    ],
+)
+def test_bad_knot_line_is_domain_error_naming_file_and_line(capsys, tmp_path, bad_line, cause):
+    good = tmp_path / "good.jsonl"
+    bad = tmp_path / "bad.jsonl"
+    good.write_text(UNKNOT.to_json() + "\n" + generator_knot(3).to_json() + "\n")
+    bad.write_text(UNKNOT.to_json() + "\n\n" + bad_line + "\n")
+    for flags in (("--path", str(bad), "--forbidden", str(good)), ("--path", str(good), "--forbidden", str(bad))):
+        code, doc = run(capsys, "detour", *flags)
+        assert code == 1 and doc["status"] == "error"
+        assert f"{bad}, line 3:" in doc["error"] and cause in doc["error"]
+
+
+def test_certify_all_negative_depth_is_usage_error(capsys):
+    assert main(["certify-all", "--depth", "-1"]) == 2
+    assert main(["certify-all", "--depth", "two"]) == 2
+    assert "non-negative" in capsys.readouterr().err

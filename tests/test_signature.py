@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from gordian.laurent import ONE, parse_poly, torus_poly
 from gordian.signature import (
     AlgebraicAngle,
     StepFun,
+    _merged_events,
     angle_cmp,
     eval_formal_signature,
     isolate_circle_roots,
@@ -387,3 +389,114 @@ def test_formal_signature_matches_step_function():
     for _ in range(100):
         theta = F(rng.randrange(512), 512)
         assert eval_formal_signature(k, theta) == s.value_at(theta)
+
+
+# ---------------------------------------------------------------------------
+# the breakpoint merge against the algorithm it replaced
+
+def reference_merged_events(f, g):
+    """The O(n*m) merge: drop g's breakpoints equal to any of f's, sort by
+    angle_cmp and find each value by a linear scan of the breakpoints."""
+    angles = list(f.breakpoints) + [
+        b for b in g.breakpoints if all(angle_cmp(b, a) != 0 for a in f.breakpoints)
+    ]
+    angles.sort(key=functools.cmp_to_key(angle_cmp))
+    out = []
+    for e in angles:
+        fa = f.values[f._arc_index(e)] if f.breakpoints else f.values[0]
+        ga = g.values[g._arc_index(e)] if g.breakpoints else g.values[0]
+        out.append((e, fa, ga))
+    return out
+
+
+def reference_drop_spurious(vals):
+    """Indices kept by the restart loop that dropped one non-jump at a time."""
+    idx = list(range(len(vals)))
+    changed = True
+    while changed and len(idx) > 1:
+        changed = False
+        for k in range(len(idx)):
+            if vals[idx[k]] == vals[idx[k - 1]]:
+                del idx[k]
+                changed = True
+                break
+    return [] if len(idx) == 1 else idx
+
+
+def general_steps(rng, count):
+    from gordian.laurent import from_basis
+
+    out = []
+    while len(out) < count:
+        d = from_basis([rng.randrange(-4, 5) for _ in range(rng.randrange(2, 7))])
+        try:
+            out.append(signature_of_poly(d))
+        except NonSimpleRootError:
+            continue
+    return out
+
+
+def assert_merge_matches_reference(f, g):
+    reference = reference_merged_events(f, g)
+    assert _merged_events(f, g) == reference
+    reference_sup = max((abs(fa - ga) for _, fa, ga in reference), default=abs(f.values[0] - g.values[0]))
+    assert sup_distance(f, g) == reference_sup
+    reference_sum = (
+        StepFun([e for e, _, _ in reference], [fa + ga for _, fa, ga in reference])
+        if reference
+        else StepFun.constant(f.values[0] + g.values[0])
+    )
+    assert f + g == reference_sum
+
+
+def test_merge_matches_reference_on_general_signatures():
+    steps = general_steps(random.Random(61), 12)
+    for f, g in zip(steps, steps[1:] + steps[:1]):
+        assert_merge_matches_reference(f, g)
+
+
+def test_merge_matches_reference_on_mixed_breakpoints():
+    rng = random.Random(67)
+    general = general_steps(rng, 6) + [signature_of_poly(FIG3), signature_of_poly(FIG3 * torus_poly(3))]
+    rational = [torus_step(3), torus_step(15), StepFun.constant(0), StepFun.constant(-3)]
+    rational += [random_step(rng) for _ in range(6)]
+    for f in general:
+        for g in rational:
+            assert_merge_matches_reference(f, g)
+            assert_merge_matches_reference(g, f)
+
+
+def test_merge_of_shared_breakpoints():
+    # FIG3 * D_3 has an algebraic breakpoint at exactly the rational turn 1/6
+    mixed = signature_of_poly(FIG3 * torus_poly(3))
+    assert angle_cmp(mixed.breakpoints[0], F(1, 6)) == 0
+    for f in general_steps(random.Random(71), 4) + [mixed, torus_step(15)]:
+        assert_merge_matches_reference(f, f)
+        assert_merge_matches_reference(f, f.mirror())
+        assert f - f == StepFun.constant(0)
+        assert (f + f).values == tuple(2 * v for v in f.values)
+    assert_merge_matches_reference(mixed, torus_step(3))
+    assert len(_merged_events(mixed, torus_step(3))) == len(mixed.breakpoints)
+
+
+def test_merge_of_constants():
+    for a, b in ((0, 0), (2, -3), (-1, 4)):
+        f, g = StepFun.constant(a), StepFun.constant(b)
+        assert _merged_events(f, g) == []
+        assert sup_distance(f, g) == abs(a - b)
+        assert f + g == StepFun.constant(a + b)
+    for g in (torus_step(3), signature_of_poly(FIG3)):
+        assert_merge_matches_reference(StepFun.constant(5), g)
+        assert_merge_matches_reference(g, StepFun.constant(5))
+
+
+def test_spurious_breakpoints_dropped_in_one_pass():
+    rng = random.Random(73)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        vals = [rng.randrange(-2, 3) for _ in range(n)]
+        bps = [F(i, n) for i in range(n)]
+        kept = reference_drop_spurious(vals)
+        f = StepFun(bps, vals)
+        assert f.breakpoints == tuple(bps[i] for i in kept)
+        assert f.values == (tuple(vals[i] for i in kept) if kept else (vals[0],))

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gordian import sturm
 
@@ -140,3 +143,46 @@ def test_scaled_chain_counts_match_fraction_oracle():
             if sturm.peval(f, a) == 0 or sturm.peval(f, b) == 0:
                 continue
             assert sturm.count_roots(chain, a, b) == sturm.count_roots(oracle, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the integer sign kernel against Fraction evaluation and sympy
+
+int_polys = st.lists(st.integers(-60, 60), max_size=10).map(sturm.trim)
+rationals = st.builds(F, st.integers(-80, 80), st.integers(1, 45))
+
+
+def fraction_sign(f, x):
+    v = sturm.peval(f, F(x))
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_polys, st.one_of(rationals, st.integers(-80, 80)))
+@example((), F(1, 3))
+@example((), 0)
+@example((5,), F(-7, 9))
+def test_psign_matches_fraction_evaluation(f, x):
+    assert sturm.psign(f, x) == fraction_sign(f, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=4), int_polys.filter(bool))
+def test_psign_is_zero_at_roots(roots, cofactor):
+    f = sturm.pmul(poly_from_roots(roots), cofactor)
+    for r in roots:
+        assert sturm.psign(f, r) == 0 == sturm.peval(f, r)
+        assert sturm.psign(f, r + F(1, 10**9)) == fraction_sign(f, r + F(1, 10**9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=8),
+    st.lists(st.builds(F, st.integers(-39, 39), st.integers(1, 20)).filter(lambda r: -2 < r < 2), max_size=5),
+)
+def test_count_roots_matches_sympy(cofactor, roots):
+    x = sympy.Symbol("x")
+    f = sturm.square_free_part(sturm.pmul(sturm.trim(cofactor) or (1,), poly_from_roots(roots)))
+    assume(sturm.degree(f) >= 1 and sturm.psign(f, -2) != 0 and sturm.psign(f, 2) != 0)
+    expected = sympy.Poly(list(reversed(f)), x).count_roots(-2, 2)
+    assert sturm.count_roots(sturm.sturm_chain(f), F(-2), F(2)) == expected
