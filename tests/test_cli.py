@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +158,66 @@ def test_certify_all_negative_depth_is_usage_error(capsys):
     assert main(["certify-all", "--depth", "-1"]) == 2
     assert main(["certify-all", "--depth", "two"]) == 2
     assert "non-negative" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# golden payloads: the documents below were recorded before the torus-product
+# layer moved to integer breakpoints, and must stay byte-identical
+
+GOLDEN = Path(__file__).parent / "golden"
+
+D3_D5_D7 = "t^-6-3t^-5+6t^-4-9t^-3+12t^-2-14t^-1+15-14t+12t^2-9t^3+6t^4-3t^5+t^6"
+D3_D3_D5 = "t^-4-3t^-3+6t^-2-8t^-1+9-8t+6t^2-3t^3+t^4"
+FIG3_D5 = "-t^-4+4t^-3-7t^-2+10t^-1-11+10t-7t^2+4t^3-t^4"
+
+# Knot files of the detour cases, one serialized knot per line.
+DETOUR_FILES = {
+    "torus": (
+        [generator_knot(3), generator_knot(3) + generator_knot(5), generator_knot(5) + generator_knot(7)],
+        [generator_knot(3) + generator_knot(7), generator_knot(9)],
+    ),
+    "mixed": (
+        [
+            generator_knot(3, True),
+            UNKNOT,
+            generator_knot(5, True) + generator_knot(5) + generator_knot(9),
+            generator_knot(7, True),
+        ],
+        [generator_knot(3) + generator_knot(15, True), generator_knot(5) + generator_knot(5) + generator_knot(21)],
+    ),
+}
+
+GOLDEN_CASES = {
+    "signature_torus": ("signature", "--poly", D3_D5_D7),
+    "gap_torus": ("gap", "--poly", D3_D5_D7),
+    "signature_repeated": ("signature", "--poly", D3_D3_D5),
+    "gap_repeated": ("gap", "--poly", D3_D3_D5),
+    "signature_mixed": ("signature", "--poly", FIG3_D5),
+    "gap_mixed": ("gap", "--poly", FIG3_D5),
+    "detour_torus": ("detour", "torus"),
+    "detour_mixed": ("detour", "mixed"),
+}
+
+
+def golden_document(capsys, tmp_path, name):
+    """The CLI document of a golden case without its provenance, as the text
+    stored in tests/golden/<name>.json."""
+    argv = GOLDEN_CASES[name]
+    if argv[0] == "detour":
+        path, forbidden = DETOUR_FILES[argv[1]]
+        files = []
+        for label, knots in (("path", path), ("forbidden", forbidden)):
+            f = tmp_path / f"{name}_{label}.jsonl"
+            f.write_text("".join(k.to_json() + "\n" for k in knots))
+            files += [f"--{label}", str(f)]
+        argv = ("detour", *files)
+    code, doc = run(capsys, *argv)
+    doc.pop("provenance")
+    return code, json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_payload_matches_golden(capsys, tmp_path, name):
+    code, text = golden_document(capsys, tmp_path, name)
+    assert code == (1 if name == "signature_repeated" else 0)
+    assert text == (GOLDEN / f"{name}.json").read_text()
