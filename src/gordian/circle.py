@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, MaterializationLimitError, SpacingError
@@ -203,6 +203,42 @@ def generator_breakpoints(p: int) -> list[Fraction]:
         )
     excluded = (p - 1) // 2
     return [breakpoint(p, k) for k in range(p) if k != excluded]
+
+
+def breakpoint_grid(ps: Iterable[int]) -> tuple[int, list[tuple[int, int]]]:
+    """The circle roots of the D_p, p in ps, on one integer grid.
+
+    Returns n = 2 lcm(ps) and the pairs (x, p), sorted, such that x/n is a
+    root of D_p: x = (2k+1) lcm(ps)/p for 0 <= k < p, skipping the half turn
+    k = (p-1)/2.  A repeated p counts once; a turn that is a root of several
+    D_p appears once for each of them.
+    """
+    ps = sorted(set(ps))
+    limit = materialization_limit()
+    if sum(ps) > limit:
+        raise MaterializationLimitError(
+            f"merging breakpoints of generators {ps} exceeds the materialization guard ({limit})"
+        )
+    for p in ps:
+        _check_odd_p(p)
+    half = lcm(*ps)
+    grid = []
+    for p in ps:
+        step = half // p
+        grid.extend((x, p) for x in range(step, 2 * half, 2 * step) if x != half)
+    grid.sort()
+    return 2 * half, grid
+
+
+def min_breakpoint_gap(ps: Iterable[int]) -> Fraction:
+    """Smallest circular distance between distinct circle roots of the D_p,
+    p in ps; 1 full turn when there is at most one root."""
+    n, grid = breakpoint_grid(ps)
+    xs = [x for x, _ in grid]
+    if not xs or xs[0] == xs[-1]:
+        return Fraction(1)
+    gap = min(b - a for a, b in zip(xs, xs[1:]) if b != a)
+    return Fraction(min(gap, xs[0] + n - xs[-1]), n)
 
 
 def arcs_of_generator(p: int) -> ArcSet:

@@ -174,45 +174,38 @@ def alexander(k: FormalKnot) -> LaurentPoly:
     return out
 
 
-def _merged_breakpoints(ps: Iterable[int]) -> list[Fraction]:
-    """Sorted distinct circle breakpoints of the given generator parameters."""
-    limit = materialization_limit()
-    ps = sorted(set(ps))
-    if sum(ps) > limit:
-        raise MaterializationLimitError(
-            f"merging breakpoints of generators {ps} exceeds the materialization guard ({limit})"
-        )
-    merged: set[Fraction] = set()
-    for p in ps:
-        merged.update(circle.generator_breakpoints(p))
-    return sorted(merged)
-
-
 def sup_signature_difference(k1: FormalKnot, k2: FormalKnot) -> tuple[int, Fraction | None]:
     """Exact sup over the circle of |sigma_k1 - sigma_k2| with a witness turn.
 
-    Generators shared with equal net sign cancel and are dropped.  The
-    difference is piecewise constant on the arrangement of the remaining
-    breakpoints, and its value at a breakpoint is the average of the adjacent
-    arc values, so sampling every merged arc midpoint attains the sup.
+    Generators shared with equal net sign cancel and are dropped.  With c_p
+    the remaining net coefficients, the difference is sum c_p (1 - Sign D_p):
+    0 on the arc through turn 0, where every D_p is positive, and moved by
+    +2 c_p or -2 c_p, alternately, at each breakpoint of p.  Its value at a
+    breakpoint is the average of the adjacent arc values, so one sweep over
+    the merged breakpoint grid attains the sup; the witness is the midpoint
+    of the first arc that reaches it.
     """
     diff: dict[int, int] = signed_multiplicities(k1)
     for p, c in signed_multiplicities(k2).items():
         diff[p] = diff.get(p, 0) - c
-    diff = {p: c for p, c in diff.items() if c}
-    if not diff:
+    jump = {p: 2 * c for p, c in diff.items() if c}
+    if not jump:
         return 0, None
-    bps = _merged_breakpoints(diff)
-    best = 0
+    n, grid = circle.breakpoint_grid(jump)
+    best = value = 0
     best_theta: Fraction | None = None
-    for i, b in enumerate(bps):
-        nxt = bps[(i + 1) % len(bps)]
-        if nxt <= b:
-            nxt += 1
-        mid = circle.as_turn((b + nxt) / 2)
-        value = abs(sum(c * (1 - circle.generator_sign_at(p, mid)) for p, c in diff.items()))
-        if value > best:
-            best, best_theta = value, mid
+    i = 0
+    while i < len(grid):
+        x = grid[i][0]
+        while i < len(grid) and grid[i][0] == x:
+            p = grid[i][1]
+            value += jump[p]
+            jump[p] = -jump[p]
+            i += 1
+        # After the last breakpoint the difference is back to 0 on the arc
+        # through turn 0, so an arc that raises the sup ends at grid[i].
+        if abs(value) > best:
+            best, best_theta = abs(value), Fraction(x + grid[i][0], 2 * n)
     return best, best_theta
 
 
@@ -242,12 +235,4 @@ def root_gap(k: FormalKnot) -> Fraction:
     particular for the unknot).  Exact: the breakpoints of generator-built
     knots are rational.
     """
-    if k.is_unknot():
-        return Fraction(1)
-    bps = _merged_breakpoints(g.p for g in k.generators)
-    if len(bps) <= 1:
-        return Fraction(1)
-    best = bps[0] + 1 - bps[-1]
-    for a, b in zip(bps, bps[1:]):
-        best = min(best, b - a)
-    return best
+    return circle.min_breakpoint_gap(g.p for g in k.generators)

@@ -15,6 +15,7 @@ x = t + 1/t used for root isolation on the unit circle.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -176,7 +177,7 @@ class HalfLaurent:
 
 def is_normalized(d: LaurentPoly) -> bool:
     """True iff d is invariant under t -> 1/t and d(1) = 1."""
-    return d.is_symmetric() and d(1) == 1
+    return d.is_symmetric() and sum(c for _, c in d.terms) == 1
 
 
 def torus_poly(p: int) -> LaurentPoly:
@@ -294,14 +295,15 @@ def to_chebyshev(d: LaurentPoly) -> tuple[int, ...]:
     if d.is_zero():
         return ()
     n = d.degree()
+    coeffs = dict(d.terms)
     out = [0] * (n + 1)
-    out[0] = d.coeff(0)
+    out[0] = coeffs.get(0, 0)
     # s_i(x) = z^i + z^-i as a polynomial in x = z + 1/z: s_0 = 2, s_1 = x,
     # s_i = x s_{i-1} - s_{i-2}.
     s_prev: list[int] = [2]
     s_cur: list[int] = [0, 1]
     for i in range(1, n + 1):
-        ci = d.coeff(i)
+        ci = coeffs.get(i, 0)
         if ci:
             for j, s in enumerate(s_cur):
                 out[j] += ci * s
@@ -313,14 +315,10 @@ def to_chebyshev(d: LaurentPoly) -> tuple[int, ...]:
     return sturm.trim(out)
 
 
-def symmetric_from_chebyshev(q: Iterable[int]) -> LaurentPoly:
-    """Inverse of to_chebyshev: the symmetric Laurent polynomial q(t + 1/t)."""
-    out = ZERO
-    x = LaurentPoly({1: 1, -1: 1})
-    for i, c in enumerate(q):
-        if c:
-            out = out + x**i * c
-    return out
+@functools.lru_cache(maxsize=256)
+def _torus_chebyshev(p: int) -> tuple[int, ...]:
+    """to_chebyshev(torus_poly(p)), the trial divisors of torus_factorization."""
+    return to_chebyshev(torus_poly(p))
 
 
 def torus_factorization(d: LaurentPoly) -> tuple[int, ...] | None:
@@ -332,7 +330,7 @@ def torus_factorization(d: LaurentPoly) -> tuple[int, ...] | None:
     """
     if d == ONE:
         return ()
-    if d.is_zero() or not d.is_symmetric() or d(1) != 1:
+    if not is_normalized(d):
         return None
     q = to_chebyshev(d)
     if q[-1] != 1:
@@ -343,7 +341,7 @@ def torus_factorization(d: LaurentPoly) -> tuple[int, ...] | None:
         for p in range(2 * deg + 1, 2, -2):
             if (p - 1) // 2 > deg:
                 continue
-            quo, rem = sturm.divmod_int_exact(q, to_chebyshev(torus_poly(p)))
+            quo, rem = sturm.divmod_int_exact(q, _torus_chebyshev(p))
             if not rem:
                 q = quo
                 found.append(p)

@@ -163,12 +163,12 @@ def _cmp_x_intervals(p1, lo1, hi1, p2, lo2, hi2) -> int:
 
 def angle_cmp(a: Angle, b: Angle) -> int:
     """Exact circular-order comparison of angles in [0, 1)."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        ta, tb = a % 1, b % 1
+        return (ta > tb) - (ta < tb)
     ra, rb = _region(a), _region(b)
     if ra != rb:
         return -1 if ra < rb else 1
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        ta, tb = as_turn(a), as_turn(b)
-        return (ta > tb) - (ta < tb)
     upper = ra == 3
     if isinstance(a, AlgebraicAngle) and isinstance(b, AlgebraicAngle):
         xcmp = _cmp_x_intervals(a.poly, a.lo, a.hi, b.poly, b.lo, b.hi)
@@ -217,12 +217,16 @@ class StepFun:
             return
         if len(bps) != len(vals):
             raise DomainError("breakpoints and values must have equal length")
-        order = sorted(range(len(bps)), key=lambda i: _ANGLE_KEY(bps[i]))
-        bps = [bps[i] for i in order]
-        vals = [vals[i] for i in order]
-        for x, y in zip(bps, bps[1:]):
-            if angle_cmp(x, y) == 0:
-                raise DomainError("breakpoints must be distinct")
+        # Callers mostly pass breakpoints already in order (merged events,
+        # torus grids), so one pass of comparisons confirms that before any
+        # sort is tried.
+        if not all(angle_cmp(x, y) < 0 for x, y in zip(bps, bps[1:])):
+            order = sorted(range(len(bps)), key=lambda i: _ANGLE_KEY(bps[i]))
+            bps = [bps[i] for i in order]
+            vals = [vals[i] for i in order]
+            for x, y in zip(bps, bps[1:]):
+                if angle_cmp(x, y) == 0:
+                    raise DomainError("breakpoints must be distinct")
         # Drop spurious breakpoints where the value does not jump, comparing
         # circularly.  A single breakpoint is its own neighbour, so it goes
         # too: it cannot separate two different values.
@@ -508,25 +512,22 @@ def signature_of_poly(d: LaurentPoly) -> StepFun:
 
 
 def _signature_of_torus_product(ps: Sequence[int]) -> StepFun:
+    """1 - Sign(prod D_p) with the breakpoints of circle.breakpoint_grid.
+
+    Every D_p is positive on the arc through turn 0, so the value there is 0.
+    With simple roots each breakpoint is a root of exactly one D_p and flips
+    the sign of the product once, so from the first breakpoint on the values
+    alternate 2, 0, 2, ..., ending with the 0 of the arc through turn 0.
+    """
     if not ps:
         return StepFun.constant(0)
-    all_bps: list[Fraction] = []
-    for p in ps:
-        all_bps.extend(circle.generator_breakpoints(p))
-    if len(set(all_bps)) != len(all_bps):
+    n, grid = circle.breakpoint_grid(ps)
+    xs = [x for x, _ in grid]
+    if len(set(ps)) < len(ps) or any(a == b for a, b in zip(xs, xs[1:])):
         raise NonSimpleRootError(
             f"torus product over p = {tuple(ps)} has repeated circle roots"
         )
-    bps = sorted(all_bps)
-    values = []
-    for i, b in enumerate(bps):
-        nxt = bps[i + 1] if i + 1 < len(bps) else bps[0] + 1
-        mid = as_turn((b + nxt) / 2)
-        sign = 1
-        for p in ps:
-            sign *= circle.generator_sign_at(p, mid)
-        values.append(1 - sign)
-    return StepFun(bps, values)
+    return StepFun([Fraction(x, n) for x in xs], [2, 0] * (len(xs) // 2))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -559,15 +560,7 @@ def min_root_gap(d: LaurentPoly) -> GapBound:
     """
     ps = torus_factorization(d)
     if ps is not None:
-        if not ps:
-            return GapBound(Fraction(1), True)
-        bps = sorted({b for p in ps for b in circle.generator_breakpoints(p)})
-        if len(bps) <= 1:
-            return GapBound(Fraction(1), True)
-        best = bps[0] + 1 - bps[-1]
-        for a, b in zip(bps, bps[1:]):
-            best = min(best, b - a)
-        return GapBound(best, True)
+        return GapBound(circle.min_breakpoint_gap(ps), True)
     iso = isolate_circle_roots(d)
     n_circle = iso.circle_root_count()
     if n_circle <= 1:

@@ -91,20 +91,24 @@ def pdivmod(f: Sequence, g: Sequence) -> tuple[tuple, tuple]:
 
 
 def divmod_int_exact(f: Sequence[int], g: Sequence[int]) -> tuple[IntPoly, IntPoly]:
-    """Integer divmod for monic g; remainder coefficients stay integral."""
+    """Integer divmod for monic g; remainder coefficients stay integral.
+
+    One descending pass of synthetic division: the coefficient of degree
+    k + deg g is the quotient coefficient at k once the higher steps have
+    run, and the remainder is what is left below deg g.
+    """
     if not g or g[-1] != 1:
         raise ValueError("divisor must be monic")
     rem = list(f)
-    quo = [0] * max(len(f) - len(g) + 1, 0)
     dg = len(g) - 1
-    while len(trim(rem)) - 1 >= dg:
-        rem = list(trim(rem))
-        k = len(rem) - 1 - dg
-        c = rem[-1]
-        quo[k] = c
-        for j, b in enumerate(g):
-            rem[k + j] -= c * b
-    return trim(quo), trim(rem)
+    quo = [0] * max(len(f) - dg, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + dg]
+        if c:
+            quo[k] = c
+            for j in range(dg):
+                rem[k + j] -= c * g[j]
+    return trim(quo), trim(rem[:dg])
 
 
 def primitive(f: Sequence) -> IntPoly:

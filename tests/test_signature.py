@@ -59,6 +59,25 @@ def test_spurious_breakpoints_dropped():
     assert g.is_constant() and g.values == (5,)
 
 
+def test_breakpoints_sorted_and_checked_for_duplicates():
+    f = StepFun([F(1, 2), F(1, 6), F(5, 6)], [0, 2, 1])
+    assert f.breakpoints == (F(1, 6), F(1, 2), F(5, 6))
+    assert f.values == (2, 0, 1)
+    for bps in ([F(1, 3), F(1, 3)], [F(1, 2), F(1, 3), F(1, 3)], [F(1, 3), F(4, 3)]):
+        with pytest.raises(DomainError, match="distinct"):
+            StepFun(bps, [1, 2, 3][: len(bps)])
+
+
+def test_rational_angles_compare_modulo_one_turn():
+    assert angle_cmp(F(7, 6), F(1, 3)) == -1
+    assert angle_cmp(F(-1, 6), F(1, 2)) == 1
+    assert angle_cmp(F(1), F(0)) == 0
+    assert angle_cmp(F(3, 2), F(1, 2)) == 0
+    for a in (F(0), F(1, 5), F(1, 2), F(4, 5)):
+        for b in (F(0), F(1, 5), F(1, 2), F(4, 5)):
+            assert angle_cmp(a + 1, b - 2) == (a > b) - (a < b)
+
+
 def test_value_at_breakpoint_is_average():
     s3 = torus_step(3)
     assert s3.value_at(F(1, 6)) == 1
@@ -500,3 +519,26 @@ def test_spurious_breakpoints_dropped_in_one_pass():
         f = StepFun(bps, vals)
         assert f.breakpoints == tuple(bps[i] for i in kept)
         assert f.values == (tuple(vals[i] for i in kept) if kept else (vals[0],))
+
+
+def test_sum_of_ordered_events_is_not_sorted_again(monkeypatch):
+    """f + g makes at most n + m comparisons in the merge and n + m - 1 in
+    StepFun's one-pass order check; re-sorting the merged events made 51."""
+    from gordian import signature
+    from gordian.laurent import from_basis
+
+    f = signature_of_poly(from_basis([1, -2, 1, 0, 4, -3]))
+    g = signature_of_poly(from_basis([0, 1, -2, 2, 2, 4]))
+    n, m = len(f.breakpoints), len(g.breakpoints)
+    assert (n, m) == (8, 10)
+    calls = []
+
+    def counting_cmp(a, b):
+        calls.append((a, b))
+        return angle_cmp(a, b)
+
+    monkeypatch.setattr(signature, "angle_cmp", counting_cmp)
+    monkeypatch.setattr(signature, "_ANGLE_KEY", functools.cmp_to_key(counting_cmp))
+    total = f + g
+    assert len(total.breakpoints) == n + m
+    assert len(calls) <= (n + m) + (n + m - 1)

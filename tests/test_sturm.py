@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 import sympy
@@ -186,3 +187,37 @@ def test_count_roots_matches_sympy(cofactor, roots):
     assume(sturm.degree(f) >= 1 and sturm.psign(f, -2) != 0 and sturm.psign(f, 2) != 0)
     expected = sympy.Poly(list(reversed(f)), x).count_roots(-2, 2)
     assert sturm.count_roots(sturm.sturm_chain(f), F(-2), F(2)) == expected
+
+
+def reference_divmod_int_exact(f, g):
+    """The division that trimmed the remainder on every quotient step."""
+    if not g or g[-1] != 1:
+        raise ValueError("divisor must be monic")
+    rem = list(f)
+    quo = [0] * max(len(f) - len(g) + 1, 0)
+    dg = len(g) - 1
+    while len(sturm.trim(rem)) - 1 >= dg:
+        rem = list(sturm.trim(rem))
+        k = len(rem) - 1 - dg
+        c = rem[-1]
+        quo[k] = c
+        for j, b in enumerate(g):
+            rem[k + j] -= c * b
+    return sturm.trim(quo), sturm.trim(rem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-60, 60), max_size=12),
+    st.lists(st.integers(-9, 9), max_size=6).map(lambda low: tuple(low) + (1,)),
+    int_polys,
+)
+@example([], (1,), ())
+@example([0, 0, 0], (2, 1), ())
+@example([5], (0, 0, 1), ())
+def test_divmod_int_exact_matches_trim_per_step_division(f, g, cofactor):
+    # f as drawn (trailing zeros allowed) and a multiple of g plus f.
+    for dividend in (f, sturm.trim([a + b for a, b in zip_longest(sturm.pmul(g, cofactor), f, fillvalue=0)])):
+        assert sturm.divmod_int_exact(dividend, g) == reference_divmod_int_exact(dividend, g)
+    if cofactor:
+        assert sturm.divmod_int_exact(sturm.pmul(g, cofactor), g) == (cofactor, ())
