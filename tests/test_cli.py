@@ -161,14 +161,22 @@ def test_certify_all_negative_depth_is_usage_error(capsys):
 
 
 # ---------------------------------------------------------------------------
-# golden payloads: the documents below were recorded before the torus-product
-# layer moved to integer breakpoints, and must stay byte-identical
+# golden payloads: the signature, gap and detour documents were recorded
+# before the torus-product layer moved to integer breakpoints, the rootiso
+# documents before circle-root isolation was cached and memoized per point;
+# all must stay byte-identical
 
 GOLDEN = Path(__file__).parent / "golden"
 
 D3_D5_D7 = "t^-6-3t^-5+6t^-4-9t^-3+12t^-2-14t^-1+15-14t+12t^2-9t^3+6t^4-3t^5+t^6"
 D3_D3_D5 = "t^-4-3t^-3+6t^-2-8t^-1+9-8t+6t^2-3t^3+t^4"
 FIG3_D5 = "-t^-4+4t^-3-7t^-2+10t^-1-11+10t-7t^2+4t^3-t^4"
+# from_basis([-4, 4, 5, 3, -2, -1, -1, -1, -4, 5, 2, -1, 2, 5]): degree 14,
+# seven roots of its Chebyshev form in (-2, 2).
+GENERAL_14 = (
+    "-5t^-14+8t^-13-6t^-11+12t^-9-12t^-8+3t^-7+t^-5-6t^-4+3t^-3+3t^-2+7t^-1-15"
+    "+7t+3t^2+3t^3-6t^4+t^5+3t^7-12t^8+12t^9-6t^11+8t^13-5t^14"
+)
 
 # Knot files of the detour cases, one serialized knot per line.
 DETOUR_FILES = {
@@ -194,6 +202,9 @@ GOLDEN_CASES = {
     "gap_repeated": ("gap", "--poly", D3_D3_D5),
     "signature_mixed": ("signature", "--poly", FIG3_D5),
     "gap_mixed": ("gap", "--poly", FIG3_D5),
+    "rootiso_mixed": ("rootiso", "--poly", FIG3_D5),
+    "rootiso_repeated": ("rootiso", "--poly", D3_D3_D5),
+    "rootiso_general": ("rootiso", "--poly", GENERAL_14),
     "detour_torus": ("detour", "torus"),
     "detour_mixed": ("detour", "mixed"),
 }
