@@ -137,8 +137,8 @@ class ArcSet:
         if other.full:
             return self
         pieces = []
-        mine = [seg for lo, hi in self.arcs for seg in _split_linear(lo, hi)]
-        theirs = [seg for lo, hi in other.arcs for seg in _split_linear(lo, hi)]
+        mine = [seg for lo, hi in self.arcs for seg in _arc_pieces(lo, hi)]
+        theirs = [seg for lo, hi in other.arcs for seg in _arc_pieces(lo, hi)]
         for a_lo, a_hi in mine:
             for b_lo, b_hi in theirs:
                 lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
@@ -164,12 +164,6 @@ class ArcSet:
 
     def __repr__(self) -> str:
         return f"ArcSet({str(self)!r})"
-
-
-def _split_linear(lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    if hi <= 1:
-        return [(lo, hi)]
-    return [(lo, Fraction(1)), (Fraction(0), hi - 1)]
 
 
 def intersect(*sets: ArcSet) -> ArcSet:

@@ -144,9 +144,6 @@ class IsometryCertificate:
     claimed_gap: int
     discrepancy: bool
 
-    def tree_dist(self) -> int:
-        return self.k + self.l
-
     def payload(self) -> dict:
         return {
             "x": format_vertex(self.x),

@@ -2,6 +2,8 @@
 
 import os
 
+from .errors import DomainError
+
 DEFAULT_MAX_P = 10**6
 
 ENV_VAR = "GORDIAN_MAX_P"
@@ -11,7 +13,8 @@ def materialization_limit() -> int:
     """Largest p for which breakpoint lists and torus polynomials may be materialized.
 
     Overridden by the GORDIAN_MAX_P environment variable.  Signature evaluation
-    itself never materializes and works for arbitrarily large p.
+    itself never materializes and works for arbitrarily large p.  A value that
+    is not an integer, or is below 3, raises DomainError.
     """
     raw = os.environ.get(ENV_VAR)
     if raw is None:
@@ -19,7 +22,7 @@ def materialization_limit() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
+        raise DomainError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
     if value < 3:
-        raise ValueError(f"{ENV_VAR} must be at least 3, got {value}")
+        raise DomainError(f"{ENV_VAR} must be at least 3, got {value}")
     return value

@@ -236,25 +236,37 @@ def split_point(f: Sequence, lo: Rat, hi: Rat) -> Rat:
 
 def isolate_roots(f: Sequence, lo: Rat, hi: Rat) -> list[tuple[Rat, Rat]]:
     """Disjoint open rational intervals, each containing exactly one root of
-    the square-free polynomial f in (lo, hi); endpoints are never roots."""
+    the square-free polynomial f in (lo, hi); endpoints are never roots.
+
+    The sign variations of the Sturm chain are memoized per point for the
+    length of the call: each stack entry carries the variations at both of
+    its ends, so every split point is evaluated once, although it bounds two
+    intervals.  lo and hi are checked to be non-roots on entry, and
+    split_point only returns non-roots.
+    """
     f = primitive(f)
     lo, hi = Fraction(lo), Fraction(hi)
     if psign(f, lo) == 0 or psign(f, hi) == 0:
         raise ValueError("isolation endpoints must not be roots")
     chain = sturm_chain(f)
+
+    def variations(x: Rat) -> int:
+        return sign_variations([psign(p, x) for p in chain])
+
     out: list[tuple[Rat, Rat]] = []
-    stack = [(lo, hi, count_roots(chain, lo, hi))]
+    stack = [(lo, hi, variations(lo), variations(hi))]
     while stack:
-        a, b, n = stack.pop()
+        a, b, va, vb = stack.pop()
+        n = va - vb
         if n == 0:
             continue
         if n == 1:
             out.append((a, b))
             continue
         m = split_point(f, a, b)
-        n_left = count_roots(chain, a, m)
-        stack.append((a, m, n_left))
-        stack.append((m, b, n - n_left))
+        vm = variations(m)
+        stack.append((a, m, va, vm))
+        stack.append((m, b, vm, vb))
     out.sort()
     return out
 

@@ -160,6 +160,14 @@ def test_certify_all_negative_depth_is_usage_error(capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, message", [("abc", "must be an integer, got 'abc'"), ("1", "must be at least 3, got 1")])
+def test_bad_materialization_limit_is_domain_error(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("GORDIAN_MAX_P", value)
+    code, doc = run(capsys, "arcs", "--p", "3")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["error"] == f"GORDIAN_MAX_P {message}"
+
+
 # ---------------------------------------------------------------------------
 # golden payloads: the signature, gap and detour documents were recorded
 # before the torus-product layer moved to integer breakpoints, the rootiso

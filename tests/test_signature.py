@@ -542,3 +542,28 @@ def test_sum_of_ordered_events_is_not_sorted_again(monkeypatch):
     total = f + g
     assert len(total.breakpoints) == n + m
     assert len(calls) <= (n + m) + (n + m - 1)
+
+
+def test_signature_then_gap_isolates_the_circle_roots_once(monkeypatch):
+    """The CLI's signature and gap of one polynomial share a single cached
+    isolation: one Sturm chain, and the same RootIsolation object."""
+    from gordian import sturm
+    from gordian.laurent import from_basis
+
+    d = from_basis([1, -2, 1, 0, 4, -3])
+    chains = []
+    real_chain = sturm.sturm_chain
+
+    def counting_chain(f):
+        chains.append(f)
+        return real_chain(f)
+
+    monkeypatch.setattr(sturm, "sturm_chain", counting_chain)
+    isolate_circle_roots.cache_clear()
+    sig = signature_of_poly(d)
+    gap = min_root_gap(d)
+    assert len(sig.breakpoints) == 8 and not gap.exact
+    assert len(chains) == 1
+    assert isolate_circle_roots.cache_info().hits == 1
+    assert isolate_circle_roots(d) is isolate_circle_roots(d)
+    assert isolate_circle_roots.cache_info().maxsize == 16

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -221,3 +222,102 @@ def test_divmod_int_exact_matches_trim_per_step_division(f, g, cofactor):
         assert sturm.divmod_int_exact(dividend, g) == reference_divmod_int_exact(dividend, g)
     if cofactor:
         assert sturm.divmod_int_exact(sturm.pmul(g, cofactor), g) == (cofactor, ())
+
+
+# ---------------------------------------------------------------------------
+# isolation with one chain evaluation per point, against the isolation that
+# counted roots afresh on both sides of every split
+
+
+def reference_isolate_roots(f, lo, hi):
+    """The isolation that called count_roots at every split, evaluating the
+    chain at the left end of each interval again."""
+    f = sturm.primitive(f)
+    lo, hi = F(lo), F(hi)
+    if sturm.psign(f, lo) == 0 or sturm.psign(f, hi) == 0:
+        raise ValueError("isolation endpoints must not be roots")
+    chain = sturm.sturm_chain(f)
+    out = []
+    stack = [(lo, hi, sturm.count_roots(chain, lo, hi))]
+    while stack:
+        a, b, n = stack.pop()
+        if n == 0:
+            continue
+        if n == 1:
+            out.append((a, b))
+            continue
+        m = sturm.split_point(f, a, b)
+        n_left = sturm.count_roots(chain, a, m)
+        stack.append((a, m, n_left))
+        stack.append((m, b, n - n_left))
+    out.sort()
+    return out
+
+
+def root_bound(f):
+    """An integer above |x| for every real root x of f (Cauchy's bound)."""
+    return 2 + max(abs(c) for c in f[:-1]) // abs(f[-1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), min_size=2, max_size=13).map(sturm.trim),
+    st.lists(rationals, max_size=4),
+    st.one_of(st.none(), st.tuples(rationals, rationals)),
+)
+@example([-2, 0, 1], [], None)
+@example([1, 1], [F(1, 2), F(-1, 2)], (F(-3, 4), F(3, 4)))
+def test_isolation_matches_count_roots_at_every_split(cofactor, roots, window):
+    # Square-free, degree <= 12, with some rational roots planted.
+    f = sturm.square_free_part(sturm.pmul(cofactor or (1,), poly_from_roots(roots)))
+    assume(1 <= sturm.degree(f) <= 12)
+    if window is None:
+        b = root_bound(f)
+        lo, hi = F(-b), F(b)
+    else:
+        lo, hi = sorted(window)
+        assume(lo < hi)
+    assume(sturm.psign(f, lo) != 0 and sturm.psign(f, hi) != 0)
+    assert sturm.isolate_roots(f, lo, hi) == reference_isolate_roots(f, lo, hi)
+
+
+@pytest.mark.parametrize("n", [7, 12, 30, 45])
+def test_isolation_of_cosine_polynomials_matches_reference(n):
+    from gordian.signature import _cos_interior_poly
+
+    poly = _cos_interior_poly(n)
+    ivs = sturm.isolate_roots(poly, F(-2), F(2))
+    assert len(ivs) == (n - 1) // 2
+    assert ivs == reference_isolate_roots(poly, F(-2), F(2))
+
+
+def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
+    chains, calls = [], []
+    real_chain, real_psign = sturm.sturm_chain, sturm.psign
+
+    def counting_chain(f):
+        chains.append(real_chain(f))
+        return chains[-1]
+
+    def counting_psign(f, x):
+        calls.append((tuple(f), F(x)))
+        return real_psign(f, x)
+
+    monkeypatch.setattr(sturm, "sturm_chain", counting_chain)
+    monkeypatch.setattr(sturm, "psign", counting_psign)
+    f = poly_from_roots([F(k, 7) for k in range(-6, 7)])
+    ivs = sturm.isolate_roots(f, F(-2), F(2))
+    assert len(ivs) == 13 and len(chains) == 1
+    chain = chains[0]
+    assert len(chain) == 14
+    # split_point also tests f at its candidates, so only the other entries
+    # of the chain show how often a point is evaluated.
+    evaluated = Counter(x for q, x in calls if q == chain[1])
+    assert set(evaluated.values()) == {1}
+    assert {x for iv in ivs for x in iv} <= set(evaluated)
+    for p in chain[2:]:
+        assert Counter(x for q, x in calls if q == p) == evaluated
+    # The reference evaluates every left end of a split again.
+    calls.clear()
+    assert reference_isolate_roots(f, F(-2), F(2)) == ivs
+    assert max(Counter(x for q, x in calls if q == chain[1]).values()) > 1
