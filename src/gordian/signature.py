@@ -415,12 +415,15 @@ class RootIsolation:
 def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     """Sturm-sequence isolation of the roots of to_chebyshev(d) in [-2, 2].
 
-    Cached on d: signature_of_poly and min_root_gap both isolate d, and
-    callers such as the signature and gap commands ask for one right after
-    the other.  The result is frozen and refined returns a copy, so sharing
-    it is safe.  The cache holds 16 entries: enough for those back-to-back calls, and
-    small enough that the isolations it keeps alive do not add to the peak
-    memory of a long run over many polynomials.
+    Cached on d for code that reads both invariants of one polynomial in one
+    process: signature_of_poly and min_root_gap both isolate d, so calling
+    one after the other on the same d (as the general benchmark workload
+    does) isolates it once.  The CLI runs each command in its own process
+    and gains nothing from the cache.  The result is frozen and refined
+    returns a copy, so sharing it is safe.  The cache holds 16 entries:
+    enough for such back-to-back calls, and small enough that the
+    isolations it keeps alive do not add to the peak memory of a long run
+    over many polynomials.
     """
     if d.is_zero():
         raise DomainError("cannot isolate roots of the zero polynomial")

@@ -217,20 +217,23 @@ def count_roots(chain: list[IntPoly], a, b) -> int:
     return sign_variations(sa) - sign_variations(sb)
 
 
-def split_point(f: Sequence, lo: Rat, hi: Rat) -> Rat:
-    """A point strictly between lo and hi where f does not vanish."""
+def split_point(f: Sequence, lo: Rat, hi: Rat) -> tuple[Rat, int]:
+    """A point x strictly between lo and hi where f does not vanish, and the
+    sign of f there (psign(f, x), never 0)."""
     width = hi - lo
     for den in (2, 3, 4, 5, 7, 8, 11, 13, 16, 17, 19, 23):
         x = lo + width / den
-        if psign(f, x) != 0:
-            return x
+        s = psign(f, x)
+        if s != 0:
+            return x, s
     # f has finitely many roots, so some dyadic point in the interval is free.
     den = 32
     while True:
         for num in range(1, den, 2):
             x = lo + width * Fraction(num, den)
-            if psign(f, x) != 0:
-                return x
+            s = psign(f, x)
+            if s != 0:
+                return x, s
         den *= 2
 
 
@@ -238,23 +241,20 @@ def isolate_roots(f: Sequence, lo: Rat, hi: Rat) -> list[tuple[Rat, Rat]]:
     """Disjoint open rational intervals, each containing exactly one root of
     the square-free polynomial f in (lo, hi); endpoints are never roots.
 
-    The sign variations of the Sturm chain are memoized per point for the
-    length of the call: each stack entry carries the variations at both of
-    its ends, so every split point is evaluated once, although it bounds two
-    intervals.  lo and hi are checked to be non-roots on entry, and
-    split_point only returns non-roots.
+    The Sturm chain is evaluated once per point for the length of the call:
+    each stack entry carries the sign variations at both of its ends, so a
+    split point is evaluated once although it bounds two intervals.  The
+    chain starts with f, whose sign at a split point is the one split_point
+    found, so only the rest of the chain is evaluated there.
     """
-    f = primitive(f)
-    lo, hi = Fraction(lo), Fraction(hi)
-    if psign(f, lo) == 0 or psign(f, hi) == 0:
-        raise ValueError("isolation endpoints must not be roots")
     chain = sturm_chain(f)
-
-    def variations(x: Rat) -> int:
-        return sign_variations([psign(p, x) for p in chain])
-
+    lo, hi = Fraction(lo), Fraction(hi)
+    end_signs = [[psign(p, x) for p in chain] for x in (lo, hi)]
+    if end_signs[0][0] == 0 or end_signs[1][0] == 0:
+        raise ValueError("isolation endpoints must not be roots")
+    f, rest = chain[0], chain[1:]
     out: list[tuple[Rat, Rat]] = []
-    stack = [(lo, hi, variations(lo), variations(hi))]
+    stack = [(lo, hi, *map(sign_variations, end_signs))]
     while stack:
         a, b, va, vb = stack.pop()
         n = va - vb
@@ -263,8 +263,8 @@ def isolate_roots(f: Sequence, lo: Rat, hi: Rat) -> list[tuple[Rat, Rat]]:
         if n == 1:
             out.append((a, b))
             continue
-        m = split_point(f, a, b)
-        vm = variations(m)
+        m, sm = split_point(f, a, b)
+        vm = sign_variations([sm] + [psign(p, m) for p in rest])
         stack.append((a, m, va, vm))
         stack.append((m, b, vm, vb))
     out.sort()
@@ -275,8 +275,7 @@ def refine_root(f: Sequence, lo: Rat, hi: Rat, width: Rat) -> tuple[Rat, Rat]:
     """Shrink an isolating interval of f below the requested width by bisection."""
     slo = psign(f, lo)
     while hi - lo > width:
-        m = split_point(f, lo, hi)
-        sm = psign(f, m)
+        m, sm = split_point(f, lo, hi)
         if (slo > 0) != (sm > 0):
             hi = m
         else:

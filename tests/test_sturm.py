@@ -102,8 +102,9 @@ def test_refine_root_narrows_and_keeps_root():
 
 def test_split_point_avoids_roots():
     f = poly_from_roots([F(1, 2)])
-    x = sturm.split_point(f, F(0), F(1))
+    x, s = sturm.split_point(f, F(0), F(1))
     assert F(0) < x < F(1) and sturm.peval(f, x) != 0
+    assert s == sturm.psign(f, x)
 
 
 def test_chain_of_degree_52_is_fast():
@@ -246,7 +247,7 @@ def reference_isolate_roots(f, lo, hi):
         if n == 1:
             out.append((a, b))
             continue
-        m = sturm.split_point(f, a, b)
+        m, _ = sturm.split_point(f, a, b)
         n_left = sturm.count_roots(chain, a, m)
         stack.append((a, m, n_left))
         stack.append((m, b, n - n_left))
@@ -300,8 +301,9 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
         return chains[-1]
 
     def counting_psign(f, x):
-        calls.append((tuple(f), F(x)))
-        return real_psign(f, x)
+        s = real_psign(f, x)
+        calls.append((tuple(f), F(x), s))
+        return s
 
     monkeypatch.setattr(sturm, "sturm_chain", counting_chain)
     monkeypatch.setattr(sturm, "psign", counting_psign)
@@ -310,14 +312,15 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
     assert len(ivs) == 13 and len(chains) == 1
     chain = chains[0]
     assert len(chain) == 14
-    # split_point also tests f at its candidates, so only the other entries
-    # of the chain show how often a point is evaluated.
-    evaluated = Counter(x for q, x in calls if q == chain[1])
+    evaluated = Counter(x for q, x, _ in calls if q == chain[1])
     assert set(evaluated.values()) == {1}
     assert {x for iv in ivs for x in iv} <= set(evaluated)
     for p in chain[2:]:
-        assert Counter(x for q, x in calls if q == p) == evaluated
+        assert Counter(x for q, x, _ in calls if q == p) == evaluated
+    # f itself is also tested at the candidates split_point rejects, the
+    # roots of f; every other point is evaluated once, split points included.
+    assert Counter(x for q, x, s in calls if q == chain[0] and s) == evaluated
     # The reference evaluates every left end of a split again.
     calls.clear()
     assert reference_isolate_roots(f, F(-2), F(2)) == ivs
-    assert max(Counter(x for q, x in calls if q == chain[1]).values()) > 1
+    assert max(Counter(x for q, x, _ in calls if q == chain[1]).values()) > 1
