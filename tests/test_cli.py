@@ -171,8 +171,9 @@ def test_bad_materialization_limit_is_domain_error(capsys, monkeypatch, value, m
 # ---------------------------------------------------------------------------
 # golden payloads: the signature, gap and detour documents were recorded
 # before the torus-product layer moved to integer breakpoints, the rootiso
-# documents before circle-root isolation was cached and memoized per point;
-# all must stay byte-identical
+# documents before circle-root isolation was cached and memoized per point,
+# the poly chebyshev documents before format_xpoly was folded into
+# format_poly; all must stay byte-identical
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -213,6 +214,8 @@ GOLDEN_CASES = {
     "rootiso_mixed": ("rootiso", "--poly", FIG3_D5),
     "rootiso_repeated": ("rootiso", "--poly", D3_D3_D5),
     "rootiso_general": ("rootiso", "--poly", GENERAL_14),
+    "chebyshev_mixed": ("poly", "chebyshev", "--poly", FIG3_D5),
+    "chebyshev_general": ("poly", "chebyshev", "--poly", GENERAL_14),
     "detour_torus": ("detour", "torus"),
     "detour_mixed": ("detour", "mixed"),
 }
