@@ -72,7 +72,7 @@ def _cmd_poly(args) -> dict:
         return {"coeffs": list(laurent.to_basis(d))}
     if args.poly_cmd == "chebyshev":
         q = laurent.to_chebyshev(d)
-        return {"coeffs": list(q), "poly_in_x": laurent.format_xpoly(q)}
+        return {"coeffs": list(q), "poly_in_x": laurent.format_poly(q, "x")}
     raise AssertionError(args.poly_cmd)
 
 

@@ -159,12 +159,6 @@ class HalfLaurent:
             acc[e] = acc.get(e, Fraction(0)) + c
         self.terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
 
-    def coeff(self, e: int) -> Fraction:
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return Fraction(0)
-
     def involution(self) -> "HalfLaurent":
         return HalfLaurent({-e: c for e, c in self.terms})
 
@@ -406,34 +400,16 @@ def parse_poly(text: str) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def format_poly(d) -> str:
-    """Render terms in ascending exponent order; inverse of parse_poly."""
-    if not d.terms:
-        return "0"
-    parts: list[str] = []
-    for e, c in d.terms:
-        neg = c < 0
-        mag = -c if neg else c
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "t" if e == 1 else f"t^{e}"
-            body = var if mag == 1 else f"{mag}{var}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("-" if neg else "+") + body)
-    return "".join(parts)
+def format_poly(d, var: str = "t") -> str:
+    """Render the terms c*var^e of d joined by + and -; inverse of parse_poly.
 
-
-def format_xpoly(q: Iterable[int]) -> str:
-    """Render an ascending coefficient tuple as a polynomial in x, highest power first."""
-    coeffs = list(q)
-    if not any(coeffs):
-        return "0"
+    A LaurentPoly or HalfLaurent is rendered in ascending exponent order; a
+    tuple of coefficients in ascending degree, such as to_chebyshev returns,
+    is rendered highest power first.
+    """
+    terms = reversed(list(enumerate(d))) if isinstance(d, tuple) else d.terms
     parts: list[str] = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
+    for e, c in terms:
         if not c:
             continue
         neg = c < 0
@@ -441,10 +417,8 @@ def format_xpoly(q: Iterable[int]) -> str:
         if e == 0:
             body = str(mag)
         else:
-            var = "x" if e == 1 else f"x^{e}"
-            body = var if mag == 1 else f"{mag}{var}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("-" if neg else "+") + body)
-    return "".join(parts)
+            body = var if e == 1 else f"{var}^{e}"
+            if mag != 1:
+                body = f"{mag}{body}"
+        parts.append(("-" if neg else "+" if parts else "") + body)
+    return "".join(parts) or "0"

@@ -415,6 +415,10 @@ class RootIsolation:
 def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     """Sturm-sequence isolation of the roots of to_chebyshev(d) in [-2, 2].
 
+    This is the one place outside torus_factorization that converts d to
+    its Chebyshev form q and splits off q's square-free part; the result
+    carries both, and the repeated part is their exact quotient.
+
     Cached on d for code that reads both invariants of one polynomial in one
     process: signature_of_poly and min_root_gap both isolate d, so calling
     one after the other on the same d (as the general benchmark workload
@@ -443,13 +447,9 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     ivs = sturm.isolate_roots(interior, Fraction(-2), Fraction(2)) if sturm.degree(interior) >= 1 else []
     ivs = _separate_intervals(interior, ivs)
     all_ivs = sorted(degenerate + list(ivs))
-    signs = []
-    prev_hi = Fraction(-2)
-    for lo, hi in all_ivs:
-        signs.append(_gap_sign(q, prev_hi, lo))
-        prev_hi = hi
-    signs.append(_gap_sign(q, prev_hi, Fraction(2)))
-    return RootIsolation(q, qt, tuple(interior), tuple(all_ivs), tuple(signs))
+    edges = [Fraction(-2), *(x for iv in all_ivs for x in iv), Fraction(2)]
+    signs = tuple(_gap_sign(q, lo, hi) for lo, hi in zip(edges[::2], edges[1::2]))
+    return RootIsolation(q, qt, tuple(interior), tuple(all_ivs), signs)
 
 
 def _separate_intervals(
@@ -477,18 +477,22 @@ def _gap_sign(q: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     return sturm.psign(q, (lo + hi) / 2)
 
 
-def _check_simple_circle_roots(d: LaurentPoly, q: Sequence[int]) -> None:
-    if sturm.psign(q, -2) == 0:
-        raise NonSimpleRootError(
-            f"{d} vanishes at t = -1, a repeated circle root at turn 1/2"
-        )
-    g = sturm.pgcd(q, sturm.pderiv(q))
-    if sturm.degree(g) > 0:
-        gt = sturm.square_free_part(g)
-        if sturm.psign(gt, -2) == 0 or sturm.psign(gt, 2) == 0:
-            raise NonSimpleRootError(f"{d} has a repeated circle root")
-        if sturm.count_roots(sturm.sturm_chain(gt), Fraction(-2), Fraction(2)) > 0:
-            raise NonSimpleRootError(f"{d} has a repeated circle root")
+def _check_simple_circle_roots(d: LaurentPoly, iso: RootIsolation) -> None:
+    """Raise NonSimpleRootError if the repeated part q / square_free_part(q)
+    of d's Chebyshev form q has a root in [-2, 2].
+
+    For normalized d, q(2) = d(1) = 1, and q(-2) = d(-1) is odd, because
+    d(1) - d(-1) is twice the sum of the odd-exponent coefficients.  So
+    neither x = 2 nor x = -2 (t = 1, t = -1) is a root of q, and counting
+    roots in the open interval (-2, 2) covers every circle root.
+    """
+    if sturm.degree(iso.square_free) == sturm.degree(iso.poly):
+        return
+    repeated, rem = sturm.divmod_int_exact(iso.poly, iso.square_free)
+    assert not rem
+    gt = sturm.square_free_part(repeated)
+    if sturm.count_roots(sturm.sturm_chain(gt), Fraction(-2), Fraction(2)) > 0:
+        raise NonSimpleRootError(f"{d} has a repeated circle root")
 
 
 def signature_of_poly(d: LaurentPoly) -> StepFun:
@@ -503,23 +507,20 @@ def signature_of_poly(d: LaurentPoly) -> StepFun:
     ps = torus_factorization(d)
     if ps is not None:
         return _signature_of_torus_product(ps)
-    q = to_chebyshev(d)
-    _check_simple_circle_roots(d, q)
     iso = isolate_circle_roots(d)
-    r = len(iso.intervals)
-    if r == 0:
+    _check_simple_circle_roots(d, iso)
+    if not iso.intervals:
         return StepFun.constant(0)
-    sp = iso.sign_pattern
     lower = [
         AlgebraicAngle(iso.interior_poly, lo, hi, upper=False)
         for lo, hi in reversed(iso.intervals)
     ]
     upper = [AlgebraicAngle(iso.interior_poly, lo, hi, upper=True) for lo, hi in iso.intervals]
-    values_lower = [1 - sp[r - 1 - i] for i in range(r)]
-    values = list(values_lower)
-    for j in range(1, r):
-        values.append(values_lower[r - 1 - j])
-    values.append(1 - sp[r])
+    # sign_pattern[i] is the sign below the i-th interval.  The arc after a
+    # lower breakpoint runs down in x, over the gap below its interval; the
+    # arc after an upper one runs up, over the gap above it.
+    sp = iso.sign_pattern
+    values = [1 - s for s in sp[-2::-1] + sp[1:]]
     return StepFun(lower + upper, values)
 
 

@@ -5,7 +5,9 @@ leading coefficient nonzero; () is the zero polynomial.  All arithmetic is
 exact over the integers and rationals.  Sign tests, which are all that root
 counting, splitting, isolation and refinement consult, are integer-only:
 psign clears the denominator of the rational point instead of evaluating
-over Fraction; peval is the Fraction evaluation it is tested against.
+over Fraction.  Division is integer-only too: divmod_int_exact serves every
+caller.  peval and pdivmod are the Fraction evaluation and division that
+the integer kernels are tested against; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -91,45 +93,42 @@ def pdivmod(f: Sequence, g: Sequence) -> tuple[tuple, tuple]:
 
 
 def divmod_int_exact(f: Sequence[int], g: Sequence[int]) -> tuple[IntPoly, IntPoly]:
-    """Integer divmod for monic g; remainder coefficients stay integral.
+    """Integer divmod for a divisor g whose leading coefficient divides every
+    quotient step, as it does for monic g or when g divides f over Z.
 
     One descending pass of synthetic division: the coefficient of degree
-    k + deg g is the quotient coefficient at k once the higher steps have
-    run, and the remainder is what is left below deg g.
+    k + deg g, divided by lc(g), is the quotient coefficient at k once the
+    higher steps have run, and the remainder is what is left below deg g.
+    Raises ValueError on a step that lc(g) does not divide.
     """
-    if not g or g[-1] != 1:
-        raise ValueError("divisor must be monic")
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = g[-1]
     rem = list(f)
     dg = len(g) - 1
     quo = [0] * max(len(f) - dg, 0)
     for k in range(len(quo) - 1, -1, -1):
         c = rem[k + dg]
         if c:
+            if lead != 1:
+                c, r = divmod(c, lead)
+                if r:
+                    raise ValueError("inexact integer division step")
             quo[k] = c
             for j in range(dg):
                 rem[k + j] -= c * g[j]
     return trim(quo), trim(rem[:dg])
 
 
-def primitive(f: Sequence) -> IntPoly:
-    """Scale f by a positive rational so the coefficients become coprime integers."""
+def primitive(f: Sequence[int]) -> IntPoly:
+    """Divide the integer polynomial f by the positive gcd of its coefficients."""
     f = trim(f)
-    if not f:
-        return ()
-    if any(isinstance(c, Fraction) for c in f):
-        denom = 1
-        for c in f:
-            if isinstance(c, Fraction):
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in f]
-    else:
-        ints = list(f)
     g = 0
-    for c in ints:
+    for c in f:
         g = gcd(g, c)
         if g == 1:
-            return tuple(ints)
-    return tuple(c // g for c in ints)
+            return f
+    return tuple(c // g for c in f)
 
 
 def scaled_rem(f: Sequence[int], g: Sequence[int]) -> IntPoly:
@@ -168,17 +167,21 @@ def pgcd(f: Sequence, g: Sequence) -> IntPoly:
     return a if a[-1] > 0 else pneg(a)
 
 
-def square_free_part(f: Sequence) -> IntPoly:
-    """f divided by gcd(f, f'), normalized to primitive integer coefficients."""
+def square_free_part(f: Sequence[int]) -> IntPoly:
+    """primitive(f) divided by gcd(f, f').
+
+    Both are primitive, so by Gauss's lemma the quotient is a primitive
+    integer polynomial and the division is exact at every integer step.
+    """
     f = primitive(f)
     if degree(f) <= 0:
         return f
     g = pgcd(f, pderiv(f))
     if degree(g) == 0:
         return f
-    quo, rem = pdivmod(f, g)
+    quo, rem = divmod_int_exact(f, g)
     assert not rem
-    return primitive(quo)
+    return quo
 
 
 def sturm_chain(f: Sequence) -> list[IntPoly]:

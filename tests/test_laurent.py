@@ -123,6 +123,16 @@ def test_text_round_trip_random():
         assert parse_poly(format_poly(d)) == d
 
 
+def test_coefficient_tuples_render_highest_power_first():
+    assert format_poly((-1, 3, -1), "x") == "-x^2+3x-1"
+    assert format_poly((0, 2, 0, -1), "x") == "-x^3+2x"
+    assert format_poly((), "x") == format_poly((0, 0), "x") == "0"
+    rng = random.Random(11)
+    for _ in range(100):
+        q = tuple(rng.randrange(-9, 10) for _ in range(rng.randrange(8)))
+        assert parse_poly(format_poly(q)) == LaurentPoly(enumerate(q))
+
+
 # ---------------------------------------------------------------------------
 # is_normalized
 

@@ -567,3 +567,164 @@ def test_signature_then_gap_isolates_the_circle_roots_once(monkeypatch):
     assert isolate_circle_roots.cache_info().hits == 1
     assert isolate_circle_roots(d) is isolate_circle_roots(d)
     assert isolate_circle_roots.cache_info().maxsize == 16
+
+
+# ---------------------------------------------------------------------------
+# one owner for the square-free split: signature_of_poly reads q, its
+# square-free part and its repeated part from the cached isolation, against
+# the check that converted d and ran the gcd again, and the Fraction-based
+# square-free part
+
+from math import gcd, lcm
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gordian import laurent, signature, sturm
+from gordian.laurent import from_basis, to_chebyshev, torus_factorization
+
+
+def reference_primitive(f):
+    """Scale f by a positive rational so the coefficients become coprime
+    integers, clearing Fraction denominators first."""
+    f = sturm.trim(f)
+    if not f:
+        return ()
+    denom = lcm(*(F(c).denominator for c in f))
+    ints = [int(c * denom) for c in f]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def reference_square_free_part(f):
+    """f divided by gcd(f, f') over Fraction, then made primitive."""
+    f = reference_primitive(f)
+    if sturm.degree(f) <= 0:
+        return f
+    g = sturm.pgcd(f, sturm.pderiv(f))
+    if sturm.degree(g) == 0:
+        return f
+    quo, rem = sturm.pdivmod(f, g)
+    assert not rem
+    return reference_primitive(quo)
+
+
+def reference_check_simple_circle_roots(d, q):
+    """The check that took q = to_chebyshev(d) and computed gcd(q, q') itself."""
+    if sturm.psign(q, -2) == 0:
+        raise NonSimpleRootError(f"{d} vanishes at t = -1, a repeated circle root at turn 1/2")
+    g = sturm.pgcd(q, sturm.pderiv(q))
+    if sturm.degree(g) > 0:
+        gt = reference_square_free_part(g)
+        if sturm.psign(gt, -2) == 0 or sturm.psign(gt, 2) == 0:
+            raise NonSimpleRootError(f"{d} has a repeated circle root")
+        if sturm.count_roots(sturm.sturm_chain(gt), F(-2), F(2)) > 0:
+            raise NonSimpleRootError(f"{d} has a repeated circle root")
+
+
+def reference_signature_of_poly(d):
+    """signature_of_poly with the reference check and the two-step value loop."""
+    ps = torus_factorization(d)
+    if ps is not None:
+        return signature._signature_of_torus_product(ps)
+    reference_check_simple_circle_roots(d, to_chebyshev(d))
+    iso = isolate_circle_roots(d)
+    r = len(iso.intervals)
+    if r == 0:
+        return StepFun.constant(0)
+    sp = iso.sign_pattern
+    lower = [AlgebraicAngle(iso.interior_poly, lo, hi, upper=False) for lo, hi in reversed(iso.intervals)]
+    upper = [AlgebraicAngle(iso.interior_poly, lo, hi, upper=True) for lo, hi in iso.intervals]
+    values_lower = [1 - sp[r - 1 - i] for i in range(r)]
+    values = list(values_lower)
+    for j in range(1, r):
+        values.append(values_lower[r - 1 - j])
+    values.append(1 - sp[r])
+    return StepFun(lower + upper, values)
+
+
+def outcome(fn, d):
+    try:
+        return "ok", fn(d).payload()
+    except NonSimpleRootError as e:
+        return "NonSimpleRootError", str(e)
+
+
+def normalized_poly(a, form, p):
+    """from_basis(a), its square, or its product with D_p."""
+    d = from_basis(a)
+    if form == "square":
+        return d * d
+    if form == "torus":
+        return d * torus_poly(p)
+    return d
+
+
+normalized_polys = st.builds(
+    normalized_poly,
+    st.lists(st.integers(-4, 4), min_size=1, max_size=7),
+    st.sampled_from(["plain", "square", "torus"]),
+    st.sampled_from([3, 5, 7, 9, 15]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(normalized_polys)
+@example(from_basis([1]) ** 2)  # repeated root x = 3, off the circle
+@example(FIG3 * FIG3)
+@example(FIG3 * torus_poly(5))
+@example(torus_poly(3) * torus_poly(15))
+@example(from_basis([1, -2, 1, 0, 4, -3]) ** 2)
+def test_signature_matches_reference_check(d):
+    assert outcome(signature_of_poly, d) == outcome(reference_signature_of_poly, d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(normalized_polys)
+@example(FIG3 * FIG3)
+@example(from_basis([1]) ** 2)
+def test_square_free_part_matches_fraction_division(d):
+    q = to_chebyshev(d)
+    assert sturm.square_free_part(q) == reference_square_free_part(q)
+    g = sturm.pgcd(q, sturm.pderiv(q))
+    assert sturm.square_free_part(g) == reference_square_free_part(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(normalized_polys)
+def test_chebyshev_form_of_normalized_poly_is_odd_at_minus_two(d):
+    """q(2) = d(1) = 1, and q(-2) = d(-1) is odd, since d(1) - d(-1) is
+    twice the sum of the odd-exponent coefficients: no normalized d has a
+    circle root at t = 1 or t = -1."""
+    q = to_chebyshev(d)
+    assert sturm.peval(q, 2) == d(1) == 1
+    assert sturm.peval(q, -2) == d(-1)
+    assert sturm.peval(q, -2) % 2 == 1
+
+
+def counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_signature_of_square_free_poly_converts_and_splits_once(monkeypatch):
+    """On a square-free general d, the isolation converts d and runs the gcd
+    once, and signature_of_poly itself does neither again.  torus_factorization
+    calls laurent.to_chebyshev, which the count leaves out."""
+    d = from_basis([-4, 4, 5, 3, -2, -1, -1, -1, -4, 5, 2, -1, 2, 5])
+    assert str(d).startswith("-5t^-14+8t^-13")
+    gcd_calls, chebyshev_calls, factor_calls = [], [], []
+    counting(monkeypatch, sturm, "pgcd", gcd_calls)
+    counting(monkeypatch, signature, "to_chebyshev", chebyshev_calls)
+    counting(monkeypatch, laurent, "to_chebyshev", factor_calls)
+    isolate_circle_roots.cache_clear()
+    assert len(signature_of_poly(d).breakpoints) == 14
+    assert len(gcd_calls) == 1
+    assert len(chebyshev_calls) == 1
+    assert len(factor_calls) == 1

@@ -34,7 +34,7 @@ def test_divmod_exact():
     f = poly_from_roots([1, -1, F(1, 2)])
     q, r = sturm.pdivmod(f, (-1, 1))
     assert not r
-    assert sturm.primitive(q) == poly_from_roots([-1, F(1, 2)])
+    assert q == poly_from_roots([-1, F(1, 2)])
 
 
 def test_divmod_int_exact_monic():
@@ -223,6 +223,33 @@ def test_divmod_int_exact_matches_trim_per_step_division(f, g, cofactor):
         assert sturm.divmod_int_exact(dividend, g) == reference_divmod_int_exact(dividend, g)
     if cofactor:
         assert sturm.divmod_int_exact(sturm.pmul(g, cofactor), g) == (cofactor, ())
+
+
+primitive_non_monic = (
+    st.lists(st.integers(-9, 9), max_size=6)
+    .flatmap(lambda low: st.sampled_from([-6, -3, -2, 2, 4, 5]).map(lambda lead: tuple(low) + (lead,)))
+    .filter(lambda g: sturm.primitive(g) == g)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(primitive_non_monic, int_polys)
+@example((1, 2), ())
+@example((3, 0, -2), (0, 5))
+def test_divmod_int_exact_divides_by_non_monic_factor(g, h):
+    assert sturm.divmod_int_exact(sturm.pmul(g, h), g) == (h, ())
+    if h:
+        # Raising the leading coefficient by one leaves a top step that
+        # lc(g) does not divide.
+        f = list(sturm.pmul(g, h))
+        f[-1] += 1
+        with pytest.raises(ValueError):
+            sturm.divmod_int_exact(f, g)
+
+
+def test_divmod_int_exact_rejects_zero_divisor():
+    with pytest.raises(ZeroDivisionError):
+        sturm.divmod_int_exact((1, 2), ())
 
 
 # ---------------------------------------------------------------------------
