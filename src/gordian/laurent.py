@@ -159,9 +159,6 @@ class HalfLaurent:
             acc[e] = acc.get(e, Fraction(0)) + c
         self.terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
 
-    def involution(self) -> "HalfLaurent":
-        return HalfLaurent({-e: c for e, c in self.terms})
-
     def __str__(self) -> str:
         return format_poly(self)
 

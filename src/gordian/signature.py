@@ -447,9 +447,13 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     ivs = sturm.isolate_roots(interior, Fraction(-2), Fraction(2)) if sturm.degree(interior) >= 1 else []
     ivs = _separate_intervals(interior, ivs)
     all_ivs = sorted(degenerate + list(ivs))
-    edges = [Fraction(-2), *(x for iv in all_ivs for x in iv), Fraction(2)]
-    signs = tuple(_gap_sign(q, lo, hi) for lo, hi in zip(edges[::2], edges[1::2]))
-    return RootIsolation(q, qt, tuple(interior), tuple(all_ivs), signs)
+    signs = []
+    prev_hi = Fraction(-2)
+    for lo, hi in all_ivs:
+        signs.append(_gap_sign(q, prev_hi, lo))
+        prev_hi = hi
+    signs.append(_gap_sign(q, prev_hi, Fraction(2)))
+    return RootIsolation(q, qt, tuple(interior), tuple(all_ivs), tuple(signs))
 
 
 def _separate_intervals(

@@ -1,14 +1,18 @@
 import functools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, cos, pi
 
+from gordian import laurent, signature, sturm
 from gordian.circle import arcs_of_generator
 from gordian.errors import DomainError, NonSimpleRootError
 from gordian.knots import FormalKnot, UNKNOT, generator_knot
-from gordian.laurent import ONE, parse_poly, torus_poly
+from gordian.laurent import ONE, from_basis, parse_poly, to_chebyshev, torus_factorization, torus_poly
 from gordian.signature import (
     AlgebraicAngle,
     StepFun,
@@ -574,14 +578,6 @@ def test_signature_then_gap_isolates_the_circle_roots_once(monkeypatch):
 # square-free part and its repeated part from the cached isolation, against
 # the check that converted d and ran the gcd again, and the Fraction-based
 # square-free part
-
-from math import gcd, lcm
-
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-
-from gordian import laurent, signature, sturm
-from gordian.laurent import from_basis, to_chebyshev, torus_factorization
 
 
 def reference_primitive(f):
