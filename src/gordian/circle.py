@@ -226,13 +226,23 @@ def breakpoint_grid(ps: Iterable[int]) -> tuple[int, list[tuple[int, int]]]:
 
 def min_breakpoint_gap(ps: Iterable[int]) -> Fraction:
     """Smallest circular distance between distinct circle roots of the D_p,
-    p in ps; 1 full turn when there is at most one root."""
-    n, grid = breakpoint_grid(ps)
-    xs = [x for x, _ in grid]
-    if not xs or xs[0] == xs[-1]:
-        return Fraction(1)
-    gap = min(b - a for a, b in zip(xs, xs[1:]) if b != a)
-    return Fraction(min(gap, xs[0] + n - xs[-1]), n)
+    p in ps: 1 / max lcm(p, q) over p, q in the set P of distinct p, and
+    1 full turn when P is empty.  Nothing is materialized.
+
+    Proof.  Roots (2k+1)/(2p) of D_p and (2j+1)/(2q) of D_q differ by
+    ((2k+1)q - (2j+1)p) / (2pq) modulo 1.  With g = gcd(p, q) the numerator
+    is a multiple of 2g, nonzero for distinct roots, so no gap is below
+    2g / (2pq) = 1/lcm(p, q).  Write p = g p', q = g q' with p', q' odd and
+    coprime, so the numerator 2g is reached.  A pair reaching it with
+    2k+1 = p has p' dividing 2, so p | q; one with 2j+1 = q has q | p.  So
+    when neither divides the other, 1/lcm(p, q) is a gap between roots off
+    the half turn, where no D_p vanishes.  Otherwise, say p | q, the roots
+    k = 0 and k = q - 1 of D_q are 1/q = 1/lcm(p, q) apart across turn 0.
+    """
+    distinct = set(ps)
+    for p in distinct:
+        _check_odd_p(p)
+    return Fraction(1, max((lcm(p, q) for p in distinct for q in distinct), default=1))
 
 
 def arcs_of_generator(p: int) -> ArcSet:

@@ -279,7 +279,9 @@ def choose_detour(forbidden: Iterable[FormalKnot]) -> int:
 
     Summing with K_p then changes every forbidden knot into one whose
     Alexander polynomial has a smaller minimal root gap than any forbidden
-    polynomial, hence is distinct from all of them.
+    polynomial, hence is distinct from all of them.  The root gaps are in
+    closed form, so p is the largest lcm of two forbidden parameters plus 2,
+    of any size; nothing is materialized.
     """
     l = Fraction(1)
     for k in forbidden:

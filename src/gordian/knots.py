@@ -231,8 +231,8 @@ def unknotting_upper_bound(k1: FormalKnot, k2: FormalKnot) -> int:
 def root_gap(k: FormalKnot) -> Fraction:
     """Minimal circular gap between breakpoints of the Alexander polynomial of k.
 
-    Defined as 1 full turn when the knot has at most one breakpoint (in
-    particular for the unknot).  Exact: the breakpoints of generator-built
-    knots are rational.
+    Exact and lazy: 1 / max lcm(p, q) over the generator parameters, by
+    circle.min_breakpoint_gap, so p of any size is fine.  1 full turn for
+    the unknot.
     """
     return circle.min_breakpoint_gap(g.p for g in k.generators)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from gordian.cli import main
+from gordian.graph import phi
 from gordian.knots import UNKNOT, generator_knot
 from gordian.laurent import parse_poly
 
@@ -173,7 +174,8 @@ def test_bad_materialization_limit_is_domain_error(capsys, monkeypatch, value, m
 # before the torus-product layer moved to integer breakpoints, the rootiso
 # documents before circle-root isolation was cached and memoized per point,
 # the poly chebyshev documents before format_xpoly was folded into
-# format_poly; all must stay byte-identical
+# format_poly, detour_tree when root gaps moved to a closed form; all must
+# stay byte-identical
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -202,6 +204,8 @@ DETOUR_FILES = {
         ],
         [generator_knot(3) + generator_knot(15, True), generator_knot(5) + generator_knot(5) + generator_knot(21)],
     ),
+    # Tree knots: the detour generator has the size of the lcm of their parameters.
+    "tree": ([phi((0,)), phi((0, 0))], [phi((1,)), phi((0, 1))]),
 }
 
 GOLDEN_CASES = {
@@ -218,6 +222,7 @@ GOLDEN_CASES = {
     "chebyshev_general": ("poly", "chebyshev", "--poly", GENERAL_14),
     "detour_torus": ("detour", "torus"),
     "detour_mixed": ("detour", "mixed"),
+    "detour_tree": ("detour", "tree"),
 }
 
 

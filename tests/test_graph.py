@@ -267,3 +267,26 @@ def test_randomized_detours_verify():
         forbidden = [f for f in forbidden if f != path[0] and f != path[-1]]
         plan = build_detour(path, forbidden)
         assert verify_detour(plan).ok
+
+
+def tree_path(v):
+    """The tree knots phi of the vertices from the root down to v."""
+    return [phi(v[:i]) for i in range(len(v) + 1)]
+
+
+@pytest.mark.parametrize("v", [v for v in vertices_to_depth(3) if v])
+def test_detours_around_the_tree_knots_verify(v):
+    """The paper's two constructions compose: a tree path to v detours
+    around the tree knots of every other vertex up to depth 3.  Since
+    p_n | p_(n+1), the largest lcm of two parameters is the largest one."""
+    path = tree_path(v)
+    forbidden = [phi(u) for u in vertices_to_depth(3) if phi(u) not in path]
+    plan = build_detour(path, forbidden)
+    assert verify_detour(plan).ok
+    assert plan.detour_p == max(g.p for k in path + forbidden for g in k) + 2
+
+
+def test_detour_between_tree_knots_at_depth_two():
+    plan = build_detour([phi((0,)), phi((0, 0))], [phi((1,)), phi((0, 1))])
+    assert plan.detour_p == p_sequence(9) + 2
+    assert [c["kind"] for c in verify_detour(plan).entry_certificates] == ["alexander"] * 4

@@ -3,13 +3,15 @@ replaced, and work counters that fail if the quadratic paths come back."""
 
 import functools
 import re
+import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gordian import circle, knots, laurent, signature
+from gordian import circle, graph, knots, laurent, signature
 from gordian.errors import MaterializationLimitError, NonSimpleRootError
 from gordian.knots import FormalKnot, alexander, generator_knot, mirror, p_sequence
 from gordian.laurent import torus_poly
@@ -109,6 +111,10 @@ def reference_signature_of_torus_product(ps):
 generators = st.tuples(st.sampled_from(POOL), st.booleans())
 formal_knots = st.lists(generators, max_size=5).map(FormalKnot)
 torus_ps = st.lists(st.sampled_from(POOL), max_size=4)
+# Odd p up to 105 with repeats; pairs such as 9 and 15, 15 and 105 or 21 and
+# 35 share a divisor without one dividing the other.
+odd_up_to_105 = st.integers(1, 52).map(lambda i: 2 * i + 1)
+wide_knots = st.lists(st.tuples(odd_up_to_105, st.booleans()), max_size=6).map(FormalKnot)
 
 
 @settings(max_examples=150, deadline=None)
@@ -123,6 +129,44 @@ def test_root_gaps_match_merged_breakpoints(k):
     assert knots.root_gap(k) == reference_root_gap(k)
     ps = laurent.torus_factorization(alexander(k))
     assert min_root_gap(alexander(k)) == reference_torus_min_root_gap(ps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_knots)
+def test_closed_form_root_gaps_match_merged_breakpoints(k):
+    assert knots.root_gap(k) == reference_root_gap(k)
+
+
+@pytest.mark.parametrize(
+    "ps, gap",
+    [((9, 15), F(1, 45)), ((15, 105, 15), F(1, 105)), ((21, 35, 3), F(1, 105)), ((3, 9, 27, 5), F(1, 135))],
+)
+def test_closed_form_root_gap_examples(ps, gap):
+    k = FormalKnot(ps)
+    assert knots.root_gap(k) == reference_root_gap(k) == gap
+
+
+def odd_primes_up_to(n):
+    sieve = [True] * (n + 1)
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    return [p for p in range(3, n + 1) if sieve[p]]
+
+
+def test_root_gap_of_many_coprime_generators_is_lazy():
+    """The grid of these 429 primes has an lcm of about 1300 digits."""
+    ps = odd_primes_up_to(3000)
+    assert len(ps) == 429
+    k = FormalKnot(ps)
+    tracemalloc.start()
+    try:
+        gap = knots.root_gap(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap == F(1, 2971 * 2999) == F(1, 8910029)
+    assert peak < 2**20
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,18 +226,17 @@ def test_repeated_circle_roots_rejected(ps):
 
 
 def test_guard_refuses_a_huge_uncancelled_generator():
+    """The sup sweep still materializes the grid and is guarded; the root
+    gap is in closed form and needs no guard."""
     huge = generator_knot(p_sequence(29))
     k1, k2 = huge + generator_knot(3), mirror(huge) + generator_knot(5)
-    for new, old, args in (
-        (knots.sup_signature_difference, reference_sup_signature_difference, (k1, k2)),
-        (knots.root_gap, reference_root_gap, (k1,)),
-    ):
-        with pytest.raises(MaterializationLimitError) as got:
-            new(*args)
-        with pytest.raises(MaterializationLimitError) as expected:
-            old(*args)
-        assert str(got.value) == str(expected.value)
-        assert str(got.value).startswith("merging breakpoints of generators [3, ")
+    with pytest.raises(MaterializationLimitError) as got:
+        knots.sup_signature_difference(k1, k2)
+    with pytest.raises(MaterializationLimitError) as expected:
+        reference_sup_signature_difference(k1, k2)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("merging breakpoints of generators [3, ")
+    assert knots.root_gap(k1) == F(1, p_sequence(29))
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +276,14 @@ def test_torus_product_work_counters(monkeypatch):
 
     assert [knots.sup_signature_difference(k, other) for other in others] == expected
     assert sign_calls == []
+
+
+def test_root_gaps_and_detours_build_no_breakpoint_grid(monkeypatch):
+    k = generator_knot(3) + generator_knot(9) + generator_knot(15, True)
+    d = alexander(k)
+    grid_calls = []
+    counting(monkeypatch, circle, "breakpoint_grid", grid_calls)
+    assert knots.root_gap(k) == F(1, 45)
+    assert min_root_gap(d) == GapBound(F(1, 45), True)
+    assert graph.choose_detour([k, generator_knot(5) + generator_knot(7)]) == 47
+    assert grid_calls == []
