@@ -21,7 +21,6 @@ from .circle import (
     is_empty,
 )
 from .errors import (
-    CertificationError,
     DomainError,
     MaterializationLimitError,
     NonSimpleRootError,

@@ -17,7 +17,3 @@ class NonSimpleRootError(DomainError):
 class SpacingError(DomainError):
     """The generator spacing precondition (successive ratios >= 3) is violated
     and no full sign arc fits inside the current certified interval."""
-
-
-class CertificationError(DomainError):
-    """A machine-checkable certificate could not be produced."""

@@ -138,9 +138,7 @@ def _coerce(value) -> LaurentPoly:
     raise TypeError(f"cannot combine LaurentPoly with {value!r}")
 
 
-ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-T = LaurentPoly({1: 1})
 
 
 @dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
@@ -321,11 +319,10 @@ def torus_factorization(d: LaurentPoly) -> tuple[int, ...] | None:
     """
     if d == ONE:
         return ()
-    if not is_normalized(d):
+    # q = to_chebyshev(d) has d's top coefficient, each D_p in x the top 1.
+    if not is_normalized(d) or d.terms[-1][1] != 1:
         return None
     q = to_chebyshev(d)
-    if q[-1] != 1:
-        return None
     found: list[int] = []
     while sturm.degree(q) > 0:
         deg = sturm.degree(q)
@@ -353,26 +350,25 @@ _TERM_RE = re.compile(
 )
 
 
-def _parse_terms(text: str) -> list[tuple[int, Fraction]]:
+def parse_poly(text: str) -> LaurentPoly:
+    """Parse the +/- joined `c*t^e` text form, e.g. '-t^-2+3t^-1-3+3t-t^2'."""
     s = text.strip()
     if not s:
         raise DomainError("empty polynomial text")
     pos = 0
-    first = True
-    terms: list[tuple[int, Fraction]] = []
+    terms: list[tuple[int, int]] = []
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if not m or m.end() == pos:
             raise DomainError(f"cannot parse polynomial text {text!r} at position {pos}")
         sign = m.group("sign")
-        if sign is None and not first:
+        if sign is None and terms:
             raise DomainError(f"missing +/- between terms in {text!r}")
-        factor = -1 if sign == "-" else 1
         coeff_txt = m.group("coeff")
         var = m.group("var_after_coeff") or m.group("var")
         if coeff_txt is None and var is None:
             raise DomainError(f"cannot parse polynomial text {text!r} at position {pos}")
-        coeff = Fraction(int(coeff_txt)) if coeff_txt is not None else Fraction(1)
+        coeff = int(coeff_txt) if coeff_txt is not None else 1
         exp_txt = m.group("exp1") or m.group("exp2")
         if var is None:
             exponent = 0
@@ -380,21 +376,9 @@ def _parse_terms(text: str) -> list[tuple[int, Fraction]]:
             exponent = 1
         else:
             exponent = int(exp_txt)
-        terms.append((exponent, factor * coeff))
+        terms.append((exponent, -coeff if sign == "-" else coeff))
         pos = m.end()
-        first = False
-    return terms
-
-
-def parse_poly(text: str) -> LaurentPoly:
-    """Parse the +/- joined `c*t^e` text form, e.g. '-t^-2+3t^-1-3+3t-t^2'."""
-    terms = _parse_terms(text)
-    out: list[tuple[int, int]] = []
-    for e, c in terms:
-        if c.denominator != 1:
-            raise DomainError(f"non-integer coefficient in {text!r}")
-        out.append((e, int(c)))
-    return LaurentPoly(out)
+    return LaurentPoly(terms)
 
 
 def format_poly(d, var: str = "t") -> str:

@@ -711,8 +711,8 @@ def counting(monkeypatch, owner, name, calls):
 
 def test_signature_of_square_free_poly_converts_and_splits_once(monkeypatch):
     """On a square-free general d, the isolation converts d and runs the gcd
-    once, and signature_of_poly itself does neither again.  torus_factorization
-    calls laurent.to_chebyshev, which the count leaves out."""
+    once, and signature_of_poly itself does neither again.  d's top
+    coefficient is -5, so torus_factorization rejects it unconverted."""
     d = from_basis([-4, 4, 5, 3, -2, -1, -1, -1, -4, 5, 2, -1, 2, 5])
     assert str(d).startswith("-5t^-14+8t^-13")
     gcd_calls, chebyshev_calls, factor_calls = [], [], []
@@ -723,4 +723,4 @@ def test_signature_of_square_free_poly_converts_and_splits_once(monkeypatch):
     assert len(signature_of_poly(d).breakpoints) == 14
     assert len(gcd_calls) == 1
     assert len(chebyshev_calls) == 1
-    assert len(factor_calls) == 1
+    assert len(factor_calls) == 0
