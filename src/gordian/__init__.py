@@ -3,8 +3,8 @@
 Provides sparse integer Laurent polynomials with the normalized basis,
 rational arc-set algebra on the circle, signature step functions with Sturm
 root isolation, formal knots with gordian distance bounds, a certified tree
-embedding, and detours around finite forbidden sets.  All computations are
-exact; nothing is floating point.
+embedding, and detours around finite forbidden sets.  All results are exact;
+floats only propose separators that exact sign checks then verify.
 """
 
 __version__ = "0.1.0"

@@ -319,7 +319,7 @@ def torus_factorization(d: LaurentPoly) -> tuple[int, ...] | None:
     """
     if d == ONE:
         return ()
-    # q = to_chebyshev(d) has d's top coefficient, each D_p in x the top 1.
+    # d's top coefficient leads to_chebyshev(d); every product of D_p has 1 there.
     if not is_normalized(d) or d.terms[-1][1] != 1:
         return None
     q = to_chebyshev(d)

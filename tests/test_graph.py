@@ -284,9 +284,3 @@ def test_detours_around_the_tree_knots_verify(v):
     plan = build_detour(path, forbidden)
     assert verify_detour(plan).ok
     assert plan.detour_p == max(g.p for k in path + forbidden for g in k) + 2
-
-
-def test_detour_between_tree_knots_at_depth_two():
-    plan = build_detour([phi((0,)), phi((0, 0))], [phi((1,)), phi((0, 1))])
-    assert plan.detour_p == p_sequence(9) + 2
-    assert [c["kind"] for c in verify_detour(plan).entry_certificates] == ["alexander"] * 4

@@ -137,15 +137,6 @@ def test_closed_form_root_gaps_match_merged_breakpoints(k):
     assert knots.root_gap(k) == reference_root_gap(k)
 
 
-@pytest.mark.parametrize(
-    "ps, gap",
-    [((9, 15), F(1, 45)), ((15, 105, 15), F(1, 105)), ((21, 35, 3), F(1, 105)), ((3, 9, 27, 5), F(1, 135))],
-)
-def test_closed_form_root_gap_examples(ps, gap):
-    k = FormalKnot(ps)
-    assert knots.root_gap(k) == reference_root_gap(k) == gap
-
-
 def odd_primes_up_to(n):
     sieve = [True] * (n + 1)
     for i in range(2, isqrt(n) + 1):
@@ -209,6 +200,8 @@ def test_examples_of_shared_divisors_mirrors_and_multiplicity():
     assert knots.sup_signature_difference(k3 + k3, FormalKnot()) == (4, F(1, 2))
     assert knots.root_gap(FormalKnot()) == 1
     assert knots.root_gap(k3 + k9) == F(1, 9)
+    for ps, gap in (((9, 15), 45), ((15, 105, 15), 105), ((21, 35, 3), 105), ((3, 9, 27, 5), 135)):
+        assert knots.root_gap(FormalKnot(ps)) == reference_root_gap(FormalKnot(ps)) == F(1, gap)
 
 
 @pytest.mark.parametrize("ps", [(3, 3), (3, 15), (5, 15, 7)])
