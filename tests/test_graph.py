@@ -269,17 +269,12 @@ def test_randomized_detours_verify():
         assert verify_detour(plan).ok
 
 
-def tree_path(v):
-    """The tree knots phi of the vertices from the root down to v."""
-    return [phi(v[:i]) for i in range(len(v) + 1)]
-
-
 @pytest.mark.parametrize("v", [v for v in vertices_to_depth(3) if v])
 def test_detours_around_the_tree_knots_verify(v):
     """The paper's two constructions compose: a tree path to v detours
     around the tree knots of every other vertex up to depth 3.  Since
     p_n | p_(n+1), the largest lcm of two parameters is the largest one."""
-    path = tree_path(v)
+    path = [phi(v[:i]) for i in range(len(v) + 1)]
     forbidden = [phi(u) for u in vertices_to_depth(3) if phi(u) not in path]
     plan = build_detour(path, forbidden)
     assert verify_detour(plan).ok

@@ -146,7 +146,7 @@ def odd_primes_up_to(n):
 
 
 def test_root_gap_of_many_coprime_generators_is_lazy():
-    """The grid of these 429 primes has an lcm of about 1300 digits."""
+    """The grid of these 429 primes has an lcm of 1274 digits."""
     ps = odd_primes_up_to(3000)
     assert len(ps) == 429
     k = FormalKnot(ps)
