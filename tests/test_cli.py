@@ -174,8 +174,9 @@ def test_bad_materialization_limit_is_domain_error(capsys, monkeypatch, value, m
 # before the torus-product layer moved to integer breakpoints, the rootiso
 # documents before circle-root isolation was cached and memoized per point,
 # the poly chebyshev documents before format_xpoly was folded into
-# format_poly, detour_tree when root gaps moved to a closed form; all must
-# stay byte-identical
+# format_poly, detour_tree when root gaps moved to a closed form,
+# certify_all_depth3 before the sign of D_p moved to an integer kernel; all
+# must stay byte-identical
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -223,6 +224,7 @@ GOLDEN_CASES = {
     "detour_torus": ("detour", "torus"),
     "detour_mixed": ("detour", "mixed"),
     "detour_tree": ("detour", "tree"),
+    "certify_all_depth3": ("certify-all", "--depth", "3"),
 }
 
 
