@@ -264,19 +264,31 @@ def arcs_of_generator(p: int) -> ArcSet:
 def generator_sign_at(p: int, theta) -> int:
     """Sign of D_p at e^(2 pi i theta): -1, 0 on a root, or +1.
 
-    Works for arbitrarily large odd p; nothing is materialized.  The
-    breakpoint at 1/2 is excluded (D_p does not vanish at t = -1), so the
-    sign there is (-1)^((p-1)/2) and crossing 1/2 does not flip the sign.
+    Works for arbitrarily large odd p; nothing is materialized.  See
+    sign_at_turn, which does the work on the integer pair of as_turn(theta).
+    """
+    t = as_turn(theta)
+    return sign_at_turn(p, t.numerator, t.denominator)
+
+
+def sign_at_turn(p: int, num: int, den: int) -> int:
+    """Sign of D_p at the turn num/den, 0 <= num < den, not necessarily in
+    lowest terms: -1, 0 on a root, or +1, in integer arithmetic only.
+
+    D_p is positive at turn 0.  The roots (2k+1)/(2p) below num/den number
+    floor((2p num + den) / (2 den)), and the sign flips at each of them
+    except at the half turn, where D_p does not vanish: D_p(-1) is
+    (-1)^((p-1)/2) p.
     """
     _check_odd_p(p)
-    t = as_turn(theta)
-    if t == HALF:
+    if not 0 <= num < den:
+        raise DomainError("sign_at_turn needs 0 <= num < den")
+    if 2 * num == den:
         return -1 if ((p - 1) // 2) % 2 else 1
-    u = p * t + HALF
-    if u.denominator == 1:
+    crossings, r = divmod(2 * p * num + den, 2 * den)
+    if not r:
         return 0
-    crossings = int(u.numerator // u.denominator) - (1 if t > HALF else 0)
-    return -1 if crossings % 2 else 1
+    return -1 if (crossings - (2 * num > den)) % 2 else 1
 
 
 def _excluded_index(p: int) -> int:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import __version__, circle, graph, laurent, signature
 from .errors import DomainError
 from .knots import FormalKnot
+from .limits import decimal
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -103,7 +104,7 @@ def _cmd_witness(args) -> dict:
         {"p": str(p), "required": s, "actual": circle.generator_sign_at(p, theta)}
         for p, s in zip(ps, signs)
     ]
-    return {"theta": str(theta), "checks": checks, "validated": all(c["required"] == c["actual"] for c in checks)}
+    return {"theta": decimal(theta), "checks": checks, "validated": all(c["required"] == c["actual"] for c in checks)}
 
 
 def _cmd_signature(args) -> dict:

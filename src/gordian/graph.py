@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 from . import circle, knots, signature
 from .errors import DomainError
 from .knots import FormalKnot, GeneratorId, UNKNOT, p_sequence
+from .limits import decimal
 
 Vertex = tuple[int, ...]
 
@@ -151,7 +152,7 @@ class IsometryCertificate:
             "meet": format_vertex(self.meet),
             "k": self.k,
             "l": self.l,
-            "theta": str(self.theta),
+            "theta": decimal(self.theta),
             "sigma_x": self.sigma_x,
             "sigma_y": self.sigma_y,
             "lower": self.lower,
@@ -311,7 +312,7 @@ class DetourPlan:
         return {
             "forbidden": [k.records() for k in self.forbidden],
             "path": [k.records() for k in self.path],
-            "detour_p": str(self.detour_p),
+            "detour_p": decimal(self.detour_p),
             "detoured_path": [k.records() for k in self.detoured_path],
         }
 
@@ -359,15 +360,15 @@ def distinctness_certificate(k1: FormalKnot, k2: FormalKnot) -> dict | None:
             cert["alexander_1"] = str(knots.alexander(k1))
             cert["alexander_2"] = str(knots.alexander(k2))
         else:
-            cert["factors_1"] = {str(p): c for p, c in sorted(m1.items())}
-            cert["factors_2"] = {str(p): c for p, c in sorted(m2.items())}
+            cert["factors_1"] = {decimal(p): c for p, c in sorted(m1.items())}
+            cert["factors_2"] = {decimal(p): c for p, c in sorted(m2.items())}
         return cert
     sup, theta = knots.sup_signature_difference(k1, k2)
     if sup == 0 or theta is None:
         return None
     return {
         "kind": "signature",
-        "theta": str(theta),
+        "theta": decimal(theta),
         "sigma_1": signature.eval_formal_signature(k1, theta),
         "sigma_2": signature.eval_formal_signature(k2, theta),
     }

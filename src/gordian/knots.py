@@ -18,12 +18,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from . import circle, laurent
 from .errors import DomainError, MaterializationLimitError
 from .laurent import LaurentPoly, _check_odd_p
-from .limits import materialization_limit
+from .limits import decimal, materialization_limit
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -40,7 +40,7 @@ class GeneratorId:
         return GeneratorId(self.p, not self.mirrored)
 
 
-GeneratorLike = Union[GeneratorId, tuple, int]
+GeneratorLike = GeneratorId | tuple | int
 
 
 def _as_generator(g: GeneratorLike) -> GeneratorId:
@@ -80,10 +80,11 @@ class FormalKnot:
         as a decimal string (arbitrary precision)."""
         out: list[dict] = []
         for g in self.generators:
-            if out and out[-1]["p"] == str(g.p) and out[-1]["mirrored"] == g.mirrored:
+            p = decimal(g.p)
+            if out and out[-1]["p"] == p and out[-1]["mirrored"] == g.mirrored:
                 out[-1]["multiplicity"] += 1
             else:
-                out.append({"p": str(g.p), "mirrored": g.mirrored, "multiplicity": 1})
+                out.append({"p": p, "mirrored": g.mirrored, "multiplicity": 1})
         return out
 
     @classmethod
@@ -108,7 +109,8 @@ class FormalKnot:
             return "U"
         parts = []
         for g in self.generators:
-            parts.append(f"mirror(K_{g.p})" if g.mirrored else f"K_{g.p}")
+            p = decimal(g.p)
+            parts.append(f"mirror(K_{p})" if g.mirrored else f"K_{p}")
         return " # ".join(parts)
 
     def __repr__(self) -> str:

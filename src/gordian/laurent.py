@@ -18,7 +18,7 @@ import dataclasses
 import functools
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from . import sturm
 from .errors import DomainError, MaterializationLimitError
@@ -37,7 +37,7 @@ class LaurentPoly:
 
     terms: tuple[tuple[int, int], ...]
 
-    def __init__(self, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, int] = {}
         for e, c in items:
@@ -147,7 +147,7 @@ class HalfLaurent:
 
     terms: tuple[tuple[int, Fraction], ...]
 
-    def __init__(self, coeffs: Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]] = ()):
+    def __init__(self, coeffs: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, Fraction] = {}
         for e, c in items:

@@ -1,8 +1,9 @@
 """Materialization guard for operations whose cost grows with the torus parameter p."""
 
 import os
+import sys
 
-from .errors import DomainError
+from .errors import DomainError, MaterializationLimitError
 
 DEFAULT_MAX_P = 10**6
 
@@ -26,3 +27,21 @@ def materialization_limit() -> int:
     if value < 3:
         raise DomainError(f"{ENV_VAR} must be at least 3, got {value}")
     return value
+
+
+def decimal(value) -> str:
+    """str(value) for an int or a Fraction of any size.
+
+    Python refuses to convert an integer of more digits than
+    sys.get_int_max_str_digits() to text; such a value raises
+    MaterializationLimitError naming PYTHONINTMAXSTRDIGITS, Python's own
+    override, instead of a bare ValueError.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        bits = max(abs(value.numerator), value.denominator).bit_length()
+        raise MaterializationLimitError(
+            f"a number of {bits} bits exceeds Python's limit of {sys.get_int_max_str_digits()} digits "
+            "for integer string conversion; set PYTHONINTMAXSTRDIGITS=0 to override"
+        ) from exc

@@ -14,7 +14,7 @@ import dataclasses
 import functools
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from . import circle, sturm
 from .circle import HALF, ArcSet, as_turn
@@ -58,7 +58,7 @@ class AlgebraicAngle:
         return f"angle({side}: x in ({self.lo}, {self.hi}))"
 
 
-Angle = Union[Fraction, AlgebraicAngle]
+Angle = Fraction | AlgebraicAngle
 
 
 def _region(a: Angle) -> int:
@@ -620,8 +620,10 @@ def eval_formal_signature(knot, theta) -> int:
     the per-generator average convention applies automatically, since the
     sign there is 0 and 1 - 0 is the average of the adjacent values 0 and 2.
     """
+    t = as_turn(theta)
+    num, den = t.numerator, t.denominator
     total = 0
     for g in knot.generators:
-        contribution = 1 - circle.generator_sign_at(g.p, theta)
+        contribution = 1 - circle.sign_at_turn(g.p, num, den)
         total += -contribution if g.mirrored else contribution
     return total

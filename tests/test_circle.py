@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gordian.circle import (
     ArcSet,
@@ -11,9 +13,11 @@ from gordian.circle import (
     generator_sign_at,
     independence_witness,
     is_empty,
+    sign_at_turn,
 )
 from gordian.errors import DomainError, MaterializationLimitError, SpacingError
-from gordian.knots import p_sequence
+from gordian.knots import FormalKnot, p_sequence
+from gordian.signature import eval_formal_signature
 
 F = Fraction
 
@@ -213,6 +217,84 @@ def test_sign_for_double_factorial_p():
     # crossing a genuine breakpoint flips the sign
     eps = F(1, 10 * p)
     assert generator_sign_at(p, b - eps) == -generator_sign_at(p, b + eps)
+
+
+# ---------------------------------------------------------------------------
+# integer sign kernel against the Fraction formula it replaced
+
+HALF = F(1, 2)
+
+
+def reference_generator_sign_at(p, theta):
+    """Counts the roots (2k+1)/(2p) below theta, less the half turn, with
+    Fractions."""
+    t = as_turn(theta)
+    if t == HALF:
+        return -1 if ((p - 1) // 2) % 2 else 1
+    u = p * t + HALF
+    if u.denominator == 1:
+        return 0
+    crossings = int(u.numerator // u.denominator) - (1 if t > HALF else 0)
+    return -1 if crossings % 2 else 1
+
+
+odd_p = st.one_of(st.integers(1, 30), st.integers(1, 5 * 10**29)).map(lambda n: 2 * n + 1)
+
+
+@st.composite
+def turns_near(draw, p):
+    """A turn anywhere on the real line: arbitrary, a root of D_p, the half
+    turn, or next to a root, each shifted by whole turns."""
+    shift = draw(st.integers(-3, 3))
+    root = F(2 * draw(st.integers(0, p - 1)) + 1, 2 * p)
+    kind = draw(st.sampled_from(["any", "root", "half", "near root"]))
+    if kind == "any":
+        return draw(st.fractions(min_value=-3, max_value=3))
+    if kind == "root":
+        return root + shift
+    if kind == "half":
+        return HALF + shift
+    return root + shift + F(draw(st.sampled_from([-1, 1])), draw(st.integers(2, 10**40)))
+
+
+@st.composite
+def sign_cases(draw):
+    p = draw(odd_p)
+    return p, draw(turns_near(p))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sign_cases(), st.integers(1, 10**6))
+def test_sign_kernel_matches_the_fraction_formula(case, scale):
+    p, theta = case
+    want = reference_generator_sign_at(p, theta)
+    assert generator_sign_at(p, theta) == want
+    t = as_turn(theta)
+    assert sign_at_turn(p, scale * t.numerator, scale * t.denominator) == want
+
+
+@st.composite
+def knots_and_turns(draw):
+    gens = draw(st.lists(st.tuples(odd_p, st.booleans()), max_size=6))
+    p = draw(st.sampled_from([p for p, _ in gens] or [3]))
+    return gens, draw(turns_near(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(knots_and_turns())
+def test_formal_signature_sums_the_reference_signs(case):
+    gens, theta = case
+    want = sum((-1 if mirrored else 1) * (1 - reference_generator_sign_at(p, theta)) for p, mirrored in gens)
+    assert eval_formal_signature(FormalKnot(gens), theta) == want
+
+
+def test_sign_kernel_rejects_turns_outside_one_turn_and_even_p():
+    assert sign_at_turn(3, 2, 10) == -1
+    for num, den in ((1, 1), (-1, 2), (0, 0)):
+        with pytest.raises(DomainError):
+            sign_at_turn(3, num, den)
+    with pytest.raises(DomainError):
+        sign_at_turn(4, 1, 3)
 
 
 # ---------------------------------------------------------------------------

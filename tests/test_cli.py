@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import gordian
 from gordian.cli import main
 from gordian.graph import phi
 from gordian.knots import UNKNOT, generator_knot
@@ -250,3 +254,68 @@ def test_payload_matches_golden(capsys, tmp_path, name):
     code, text = golden_document(capsys, tmp_path, name)
     assert code == (1 if name == "signature_repeated" else 0)
     assert text == (GOLDEN / f"{name}.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# whole processes
+
+SRC = Path(gordian.__file__).resolve().parents[1]
+
+
+def run_process(code, *args, **env):
+    """Run python with gordian's sources on the path; env adds or, with None, removes variables."""
+    environ = {**os.environ, "PYTHONPATH": str(SRC)}
+    environ.pop("PYTHONINTMAXSTRDIGITS", None)
+    environ.update({k: v for k, v in env.items() if v is not None})
+    return subprocess.run(
+        [sys.executable, *code, *args], capture_output=True, text=True, env=environ, timeout=120
+    )
+
+
+DEPTH_9 = ("certify", "--x", "1,1,1,1,1,1,1,1,1", "--y", "0")
+
+
+def test_certify_past_the_digit_limit_is_an_error_document():
+    """The witness turn of this pair has 13004 characters, more than Python
+    converts by default."""
+    proc = run_process(("-m", "gordian.cli"), *DEPTH_9)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "error"
+    assert "PYTHONINTMAXSTRDIGITS" in doc["error"]
+
+
+def test_certify_past_the_digit_limit_with_the_override():
+    proc = run_process(("-m", "gordian.cli"), *DEPTH_9, PYTHONINTMAXSTRDIGITS="0")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)["payload"]
+    assert payload["valid"] is True
+    assert len(payload["certificate"]["theta"]) == 13004
+
+
+def test_embed_past_the_digit_limit_is_an_error_document():
+    proc = run_process(("-m", "gordian.cli"), "embed", "--vertex", "1,1,1,1,1,1,1,1,1,1")
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert "PYTHONINTMAXSTRDIGITS" in json.loads(proc.stdout)["error"]
+
+
+REIMPORT = """
+import gc, importlib, json, sys, types
+for _ in range(3):
+    for name in [n for n in sys.modules if n == "gordian" or n.startswith("gordian.")]:
+        del sys.modules[name]
+    importlib.import_module("gordian").graph.certify_pair((0, 1), (1,))
+gc.collect()
+live = [m.__name__ for m in gc.get_objects() if isinstance(m, types.ModuleType)]
+print(json.dumps(sorted(n for n in live if n == "gordian" or n.startswith("gordian."))))
+"""
+
+
+def test_reimported_copies_of_gordian_are_freed():
+    """Nothing global, such as typing's cache of Union aliases, may keep an
+    earlier import of the package alive."""
+    proc = run_process(("-c", REIMPORT))
+    assert proc.returncode == 0, proc.stderr
+    names = json.loads(proc.stdout)
+    assert "gordian.circle" in names
+    assert len(names) == len(set(names)), names

@@ -1,9 +1,11 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from gordian import circle, signature
 from gordian.errors import DomainError
 from gordian.graph import (
     DetourPlan,
@@ -161,6 +163,31 @@ def test_certify_pair_infinite_valency():
     cert = certify_pair((3,), (7, 2), valency=None)
     assert cert.lower == 3 and cert.upper == 6
     assert verify_certificate(cert, valency=None)
+
+
+def test_certificates_evaluate_signs_with_the_integer_kernel(monkeypatch):
+    """Signatures at a witness convert the turn once per knot and then run
+    circle.sign_at_turn on each generator, never generator_sign_at."""
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(circle, "generator_sign_at")
+    count(circle, "as_turn")
+    count(signature, "as_turn")
+    cert = certify_pair((0, 1, 1, 0, 1, 0), (1, 0, 0, 1, 1, 1))
+    assert verify_certificate(cert)
+    assert calls["generator_sign_at"] == 0
+    calls.clear()
+    assert eval_formal_signature(phi(cert.x), cert.theta) == cert.sigma_x
+    assert calls == {"as_turn": 1}
 
 
 def test_certificate_payload_round_trip_reverifies():
