@@ -189,14 +189,8 @@ def breakpoint(p: int, k: int) -> Fraction:
 
 def generator_breakpoints(p: int) -> list[Fraction]:
     """All circle roots of D_p in ascending order: (2k+1)/(2p) without 1/2."""
-    _check_odd_p(p)
-    if p > materialization_limit():
-        raise MaterializationLimitError(
-            f"breakpoints of generator p={p} exceed the materialization guard "
-            f"({materialization_limit()}); raise GORDIAN_MAX_P to override"
-        )
-    excluded = (p - 1) // 2
-    return [breakpoint(p, k) for k in range(p) if k != excluded]
+    n, grid = breakpoint_grid([p])
+    return [Fraction(x, n) for x, _ in grid]
 
 
 def breakpoint_grid(ps: Iterable[int]) -> tuple[int, list[tuple[int, int]]]:
@@ -208,13 +202,14 @@ def breakpoint_grid(ps: Iterable[int]) -> tuple[int, list[tuple[int, int]]]:
     D_p appears once for each of them.
     """
     ps = sorted(set(ps))
+    for p in ps:
+        _check_odd_p(p)
     limit = materialization_limit()
     if sum(ps) > limit:
         raise MaterializationLimitError(
-            f"merging breakpoints of generators {ps} exceeds the materialization guard ({limit})"
+            f"merging breakpoints of generators {ps} exceeds the materialization guard ({limit}); "
+            "raise GORDIAN_MAX_P to override"
         )
-    for p in ps:
-        _check_odd_p(p)
     half = lcm(*ps)
     grid = []
     for p in ps:
@@ -291,25 +286,15 @@ def sign_at_turn(p: int, num: int, den: int) -> int:
     return -1 if (crossings - (2 * num > den)) % 2 else 1
 
 
-def _excluded_index(p: int) -> int:
-    return (p - 1) // 2
-
-
-def _grid_sign(p: int, k: int) -> int:
-    """Sign of D_p on the open arc between breakpoints k and k+1 (k mod p)."""
-    k %= p
-    flips = (k + 1) - (1 if k >= _excluded_index(p) else 0)
-    return -1 if flips % 2 else 1
-
-
 def _leftmost_maximal_arc(p: int, sign: int) -> tuple[Fraction, Fraction]:
-    """The maximal sign arc of generator p with the smallest left endpoint."""
+    """The maximal sign arc of generator p with the smallest left endpoint.
+    Arc k, from breakpoint k to k+1, has the sign at its midpoint (k+1)/p."""
     if sign == -1:
         k = 0
     else:
         k = 1 if p >= 5 else 2
-    assert _grid_sign(p, k) == sign
-    hi_index = k + 2 if k + 1 == _excluded_index(p) else k + 1
+    assert sign_at_turn(p, (k + 1) % p, p) == sign
+    hi_index = k + 2 if 2 * k + 3 == p else k + 1  # breakpoint k+1 is the half turn
     return breakpoint(p, k), breakpoint(p, hi_index)
 
 
@@ -339,7 +324,7 @@ def independence_witness(ps: Sequence[int], signs: Sequence[int]) -> Turn:
     for p, want in zip(ps[1:], signs[1:]):
         k_start = ceil(p * lo - HALF)
         for k in (k_start, k_start + 1, k_start + 2):
-            if breakpoint(p, k) >= lo and breakpoint(p, k + 1) <= hi and _grid_sign(p, k) == want:
+            if sign_at_turn(p, (k + 1) % p, p) == want and breakpoint(p, k) >= lo and breakpoint(p, k + 1) <= hi:
                 lo, hi = breakpoint(p, k), breakpoint(p, k + 1)
                 break
         else:

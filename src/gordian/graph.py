@@ -88,26 +88,16 @@ def edge_number(v: Vertex, valency: int | None = 2) -> int:
             offset = offset * valency + i
         return base + offset if valency > 1 else k
     weight = len(v) + sum(v)
-    rank = sum(2 ** (w - 1) for w in range(1, weight))
+    rank = 2 ** (weight - 1) - 1  # the lighter vertices
     for depth in range(1, len(v)):
         rank += comb(weight - 1, depth - 1)
-    rank += _composition_rank(v, sum(v))
-    return rank + 1
-
-
-def _composition_rank(path: Sequence[int], total: int) -> int:
-    """Lexicographic rank of path among compositions of total into len(path)
-    nonnegative parts."""
-    rank = 0
-    remaining = total
-    for pos, c in enumerate(path):
-        slots = len(path) - pos - 1
-        for smaller in range(c):
-            rank += comb(remaining - smaller + slots - 1, slots - 1) if slots else (
-                1 if remaining == smaller else 0
-            )
+    remaining = sum(v)
+    for pos, c in enumerate(v[:-1]):
+        slots = len(v) - pos - 1
+        # paths of v's depth and weight that first fall below v at pos
+        rank += comb(remaining + slots, slots) - comb(remaining - c + slots, slots)
         remaining -= c
-    return rank
+    return rank + 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,25 +185,18 @@ def certify_pair(x: Iterable[int], y: Iterable[int], valency: int | None = 2) ->
     z = meet(x, y)
     k = len(x) - len(z)
     l = len(y) - len(z)
-    inside, outside = -1, 1
-    wanted: list[tuple[int, int]] = []
-    for leaf, is_x_side in ((x, True), (y, False)):
-        for cut in range(len(z) + 1, len(leaf) + 1):
-            n = edge_number(leaf[:cut], valency)
-            if is_x_side:
-                wanted.append((p_sequence(2 * n), inside))
-                wanted.append((p_sequence(2 * n + 1), outside))
-            else:
-                wanted.append((p_sequence(2 * n), outside))
-                wanted.append((p_sequence(2 * n + 1), inside))
+    kx, ky = phi(x, valency), phi(y, valency)
+    shared = set(phi(z, valency))
+    wanted = sorted(
+        (g.p, side if g.mirrored else -side)
+        for knot, side in ((kx, 1), (ky, -1))
+        for g in knot
+        if g not in shared
+    )
     if wanted:
-        wanted.sort()
-        ps = [p for p, _ in wanted]
-        signs = [s for _, s in wanted]
-        theta = circle.independence_witness(ps, signs)
+        theta = circle.independence_witness([p for p, _ in wanted], [s for _, s in wanted])
     else:
         theta = Fraction(0)
-    kx, ky = phi(x, valency), phi(y, valency)
     sigma_x = signature.eval_formal_signature(kx, theta)
     sigma_y = signature.eval_formal_signature(ky, theta)
     observed = abs(sigma_x - sigma_y)
@@ -280,17 +263,11 @@ def choose_detour(forbidden: Iterable[FormalKnot]) -> int:
 
     Summing with K_p then changes every forbidden knot into one whose
     Alexander polynomial has a smaller minimal root gap than any forbidden
-    polynomial, hence is distinct from all of them.  The root gaps are in
-    closed form, so p is the largest lcm of two forbidden parameters plus 2,
-    of any size; nothing is materialized.
+    polynomial, hence is distinct from all of them.  Every root gap is 1/L
+    in closed form, L an odd lcm of two forbidden parameters or 1, so p is
+    the largest L plus 2, of any size; nothing is materialized.
     """
-    l = Fraction(1)
-    for k in forbidden:
-        l = min(l, knots.root_gap(k))
-    p = int(1 / l) + 1
-    if p % 2 == 0:
-        p += 1
-    return max(p, 3)
+    return int(max((1 / knots.root_gap(k) for k in forbidden), default=1)) + 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -346,8 +323,9 @@ def distinctness_certificate(k1: FormalKnot, k2: FormalKnot) -> dict | None:
     """Evidence that two formal knots are distinct, or None if they are equal.
 
     Either the Alexander polynomials differ (the torus factor multiplicities
-    determine the product uniquely) or some turn separates the signatures.
-    Distinct multisets always admit one of the two certificates.
+    determine the product uniquely), or the net mirror counts c_p differ.  With
+    P the largest p where they do, every D_q with q < P is positive at the turn
+    1/(2P - 1) and D_P is negative, so the signatures there differ by 2 c_P.
     """
     if k1 == k2:
         return None
@@ -363,9 +341,7 @@ def distinctness_certificate(k1: FormalKnot, k2: FormalKnot) -> dict | None:
             cert["factors_1"] = {decimal(p): c for p, c in sorted(m1.items())}
             cert["factors_2"] = {decimal(p): c for p, c in sorted(m2.items())}
         return cert
-    sup, theta = knots.sup_signature_difference(k1, k2)
-    if sup == 0 or theta is None:
-        return None
+    theta = Fraction(1, 2 * max(knots.signed_multiplicities(k1 + k2.mirror())) - 1)
     return {
         "kind": "signature",
         "theta": decimal(theta),

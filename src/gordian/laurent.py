@@ -184,10 +184,13 @@ def torus_poly(p: int) -> LaurentPoly:
 def _check_odd_p(p) -> None:
     if not isinstance(p, int) or isinstance(p, bool):
         raise DomainError(f"p must be an integer, got {p!r}")
-    if p % 2 == 0:
-        raise DomainError(f"p must be odd, got {p}")
-    if p < 3:
-        raise DomainError(f"p must be at least 3, got {p}")
+    if p % 2 == 0 or p < 3:
+        try:
+            shown = str(p)
+        except ValueError:  # past Python's limit for integer string conversion
+            shown = f"an integer of {p.bit_length()} bits"
+        rule = "odd" if p % 2 == 0 else "at least 3"
+        raise DomainError(f"p must be {rule}, got {shown}")
 
 
 def basis_element(i: int) -> LaurentPoly:

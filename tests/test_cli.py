@@ -67,6 +67,13 @@ def test_arcs(capsys):
     assert doc["payload"]["measure"] == "2/3"
 
 
+def test_arcs_past_the_materialization_guard_names_the_override(capsys, monkeypatch):
+    monkeypatch.delenv("GORDIAN_MAX_P", raising=False)
+    code, doc = run(capsys, "arcs", "--p", "1000001")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["error"].endswith("; raise GORDIAN_MAX_P to override")
+
+
 def test_sign_at(capsys):
     _, doc = run(capsys, "sign-at", "--p", "3", "--theta", "2/5")
     assert doc["payload"]["sign"] == -1

@@ -1,9 +1,13 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gordian import circle, signature
 from gordian.errors import DomainError
@@ -24,7 +28,7 @@ from gordian.graph import (
     verify_detour,
     vertices_to_depth,
 )
-from gordian.knots import FormalKnot, UNKNOT, generator_knot, p_sequence
+from gordian.knots import FormalKnot, UNKNOT, generator_knot, mirror, p_sequence, signed_multiplicities
 from gordian.signature import eval_formal_signature
 
 F = Fraction
@@ -77,6 +81,44 @@ def test_edge_number_infinite_valency_injective():
     seen = [edge_number(v, valency=None) for v in vs]
     assert len(set(seen)) == len(seen)
     assert all(n >= 1 for n in seen)
+
+
+def reference_edge_number(v):
+    """The infinite-valency numbering by loops over the lighter weights and
+    over the smaller parts at each position, as edge_number computed it
+    before its closed form."""
+    weight = len(v) + sum(v)
+    rank = sum(2 ** (w - 1) for w in range(1, weight))
+    for depth in range(1, len(v)):
+        rank += comb(weight - 1, depth - 1)
+    remaining = sum(v)
+    for pos, c in enumerate(v):
+        slots = len(v) - pos - 1
+        for smaller in range(c):
+            rank += comb(remaining - smaller + slots - 1, slots - 1) if slots else (
+                1 if remaining == smaller else 0
+            )
+        remaining -= c
+    return rank + 1
+
+
+@st.composite
+def light_paths(draw, max_weight=12):
+    """Nonempty vertex paths of weight len(v) + sum(v) <= max_weight."""
+    path = [draw(st.integers(0, max_weight - 1))]
+    while len(path) + sum(path) < max_weight and draw(st.booleans()):
+        path.append(draw(st.integers(0, max_weight - len(path) - sum(path) - 1)))
+    return tuple(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(light_paths())
+def test_edge_number_closed_form_matches_the_loops(v):
+    assert edge_number(v, valency=None) == reference_edge_number(v)
+
+
+def test_edge_number_closed_form_at_a_heavy_vertex():
+    assert edge_number((10**5,), valency=None) == 2**10**5
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +205,43 @@ def test_certify_pair_infinite_valency():
     cert = certify_pair((3,), (7, 2), valency=None)
     assert cert.lower == 3 and cert.upper == 6
     assert verify_certificate(cert, valency=None)
+
+
+def reference_witness_request(x, y, valency):
+    """The generators and signs certify_pair asks independence_witness for,
+    derived from edge_number and p_sequence as before it read them off phi."""
+    z = meet(x, y)
+    inside, outside = -1, 1
+    wanted = []
+    for leaf, is_x_side in ((x, True), (y, False)):
+        for cut in range(len(z) + 1, len(leaf) + 1):
+            n = edge_number(leaf[:cut], valency)
+            if is_x_side:
+                wanted.append((p_sequence(2 * n), inside))
+                wanted.append((p_sequence(2 * n + 1), outside))
+            else:
+                wanted.append((p_sequence(2 * n), outside))
+                wanted.append((p_sequence(2 * n + 1), inside))
+    wanted.sort()
+    return [p for p, _ in wanted], [s for _, s in wanted]
+
+
+def test_witness_requests_match_the_edge_derived_ones(monkeypatch):
+    requests = []
+    original = circle.independence_witness
+
+    def recording(ps, signs):
+        requests.append((list(ps), list(signs)))
+        return original(ps, signs)
+
+    monkeypatch.setattr(circle, "independence_witness", recording)
+    vs = [v for d in range(6) for v in itertools.product(range(5), repeat=d) if d + sum(v) <= 5]
+    assert len(vs) == 32
+    for x, y in itertools.combinations(vs, 2):
+        requests.clear()
+        cert = certify_pair(x, y, valency=None)
+        assert requests == [reference_witness_request(x, y, None)]
+        assert verify_certificate(cert, valency=None)
 
 
 def test_certificates_evaluate_signs_with_the_integer_kernel(monkeypatch):
@@ -267,6 +346,38 @@ def test_distinctness_certificates():
     assert by_sig["kind"] == "signature"
     theta = F(by_sig["theta"])
     assert eval_formal_signature(a, theta) != eval_formal_signature(b, theta)
+
+
+def test_signature_certificate_past_the_materialization_guard():
+    """The generator mirrored on one side only is far past GORDIAN_MAX_P."""
+    huge = generator_knot(p_sequence(29))
+    k1, k2 = huge + generator_knot(3), mirror(huge) + generator_knot(3)
+    cert = distinctness_certificate(k1, k2)
+    assert cert == {"kind": "signature", "theta": f"1/{2 * p_sequence(29) - 1}", "sigma_1": 2, "sigma_2": -2}
+
+
+same_parameter_pairs = st.lists(
+    st.tuples(st.integers(1, 30).map(lambda i: 2 * i + 1), st.booleans(), st.booleans()), min_size=1, max_size=6
+).map(lambda gens: (FormalKnot((p, m) for p, m, _ in gens), FormalKnot((p, m != flip) for p, m, flip in gens)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_parameter_pairs)
+def test_signature_certificates_separate_at_the_top_differing_parameter(pair):
+    """Equal multiplicities with different mirrors: the signatures at the
+    certificate's turn differ by twice the net count of the largest
+    parameter where the two knots differ."""
+    k1, k2 = pair
+    diff = signed_multiplicities(k1 + k2.mirror())
+    cert = distinctness_certificate(k1, k2)
+    if not diff:
+        assert k1 == k2 and cert is None
+        return
+    assert cert["kind"] == "signature"
+    theta = F(cert["theta"])
+    assert cert["sigma_1"] == eval_formal_signature(k1, theta)
+    assert cert["sigma_2"] == eval_formal_signature(k2, theta)
+    assert cert["sigma_1"] - cert["sigma_2"] == 2 * diff[max(diff)] != 0
 
 
 def random_adjacent_walk(rng, length, pool):

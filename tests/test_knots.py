@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,25 @@ def test_generator_id_validation():
     with pytest.raises(DomainError):
         GeneratorId(1)
     assert GeneratorId(3).mirror() == GeneratorId(3, True)
+
+
+def test_generator_id_messages_past_the_digit_limit():
+    """Past Python's limit for integer string conversion p is described by
+    its bit length, not by a bare ValueError from formatting the message;
+    below it the messages keep p in decimal."""
+    with pytest.raises(DomainError, match="^p must be odd, got 4$"):
+        GeneratorId(4)
+    with pytest.raises(DomainError, match="^p must be at least 3, got 1$"):
+        GeneratorId(1)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(DomainError, match="^p must be odd, got an integer of 16610 bits$"):
+            GeneratorId(10**5000)
+        with pytest.raises(DomainError, match="^p must be at least 3, got an integer of 16610 bits$"):
+            GeneratorId(-(10**5000) - 1)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_p_sequence_values():

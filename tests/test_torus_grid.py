@@ -32,7 +32,8 @@ def reference_merged_breakpoints(ps):
     ps = sorted(set(ps))
     if sum(ps) > limit:
         raise MaterializationLimitError(
-            f"merging breakpoints of generators {ps} exceeds the materialization guard ({limit})"
+            f"merging breakpoints of generators {ps} exceeds the materialization guard ({limit}); "
+            "raise GORDIAN_MAX_P to override"
         )
     merged = set()
     for p in ps:
