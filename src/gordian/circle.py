@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, MaterializationLimitError, SpacingError
 from .laurent import _check_odd_p
-from .limits import materialization_limit
+from .limits import describe, materialization_limit
 
 Turn = Fraction
 HALF = Fraction(1, 2)
@@ -207,8 +207,8 @@ def breakpoint_grid(ps: Iterable[int]) -> tuple[int, list[tuple[int, int]]]:
     limit = materialization_limit()
     if sum(ps) > limit:
         raise MaterializationLimitError(
-            f"merging breakpoints of generators {ps} exceeds the materialization guard ({limit}); "
-            "raise GORDIAN_MAX_P to override"
+            f"merging breakpoints of generators [{', '.join(map(describe, ps))}] exceeds the materialization "
+            f"guard ({limit}); raise GORDIAN_MAX_P to override"
         )
     half = lcm(*ps)
     grid = []
@@ -248,12 +248,9 @@ def arcs_of_generator(p: int) -> ArcSet:
     the returned set collects the negative arcs.
     """
     bps = generator_breakpoints(p)
-    arcs = []
     # The wrap arc (last breakpoint, first breakpoint) contains 0 and is
     # positive; signs then alternate at every remaining breakpoint.
-    for i in range(0, len(bps) - 1, 2):
-        arcs.append((bps[i], bps[i + 1]))
-    return ArcSet(arcs)
+    return ArcSet(zip(bps[::2], bps[1::2]))
 
 
 def generator_sign_at(p: int, theta) -> int:
@@ -324,7 +321,8 @@ def independence_witness(ps: Sequence[int], signs: Sequence[int]) -> Turn:
     for p, want in zip(ps[1:], signs[1:]):
         k_start = ceil(p * lo - HALF)
         for k in (k_start, k_start + 1, k_start + 2):
-            if sign_at_turn(p, (k + 1) % p, p) == want and breakpoint(p, k) >= lo and breakpoint(p, k + 1) <= hi:
+            sign = sign_at_turn(p, (k + 1) % p, p)  # cheaper than the two breakpoints
+            if sign == want and breakpoint(p, k) >= lo and breakpoint(p, k + 1) <= hi:
                 lo, hi = breakpoint(p, k), breakpoint(p, k + 1)
                 break
         else:

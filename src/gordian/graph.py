@@ -194,7 +194,9 @@ def certify_pair(x: Iterable[int], y: Iterable[int], valency: int | None = 2) ->
         if g not in shared
     )
     if wanted:
-        theta = circle.independence_witness([p for p, _ in wanted], [s for _, s in wanted])
+        ps = [p for p, _ in wanted]
+        signs = [s for _, s in wanted]
+        theta = circle.independence_witness(ps, signs)
     else:
         theta = Fraction(0)
     sigma_x = signature.eval_formal_signature(kx, theta)
@@ -332,9 +334,7 @@ def distinctness_certificate(k1: FormalKnot, k2: FormalKnot) -> dict | None:
     m1, m2 = knots.multiplicities(k1), knots.multiplicities(k2)
     if m1 != m2:
         cert: dict = {"kind": "alexander"}
-        if sum((p - 1) // 2 * c for p, c in m1.items()) <= 128 and sum(
-            (p - 1) // 2 * c for p, c in m2.items()
-        ) <= 128:
+        if max(sum((p - 1) // 2 * c for p, c in m.items()) for m in (m1, m2)) <= 128:
             cert["alexander_1"] = str(knots.alexander(k1))
             cert["alexander_2"] = str(knots.alexander(k2))
         else:

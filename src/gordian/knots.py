@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 from . import circle, laurent
 from .errors import DomainError, MaterializationLimitError
 from .laurent import LaurentPoly, _check_odd_p
-from .limits import decimal, materialization_limit
+from .limits import decimal, describe, materialization_limit
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -168,7 +168,7 @@ def alexander(k: FormalKnot) -> LaurentPoly:
     span = sum((g.p - 1) // 2 for g in k.generators)
     if span > limit:
         raise MaterializationLimitError(
-            f"Alexander polynomial of degree {span} exceeds the materialization guard ({limit})"
+            f"Alexander polynomial of degree {describe(span)} exceeds the materialization guard ({limit})"
         )
     out = laurent.ONE
     for g in k.generators:

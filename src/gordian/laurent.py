@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from . import sturm
 from .errors import DomainError, MaterializationLimitError
-from .limits import materialization_limit
+from .limits import describe, materialization_limit
 
 BasisCoeffs = tuple[int, ...]
 
@@ -174,7 +174,7 @@ def torus_poly(p: int) -> LaurentPoly:
     _check_odd_p(p)
     if p > materialization_limit():
         raise MaterializationLimitError(
-            f"torus polynomial for p={p} exceeds the materialization guard "
+            f"torus polynomial for p={describe(p)} exceeds the materialization guard "
             f"({materialization_limit()}); raise GORDIAN_MAX_P to override"
         )
     h = (p - 1) // 2
@@ -184,13 +184,10 @@ def torus_poly(p: int) -> LaurentPoly:
 def _check_odd_p(p) -> None:
     if not isinstance(p, int) or isinstance(p, bool):
         raise DomainError(f"p must be an integer, got {p!r}")
-    if p % 2 == 0 or p < 3:
-        try:
-            shown = str(p)
-        except ValueError:  # past Python's limit for integer string conversion
-            shown = f"an integer of {p.bit_length()} bits"
-        rule = "odd" if p % 2 == 0 else "at least 3"
-        raise DomainError(f"p must be {rule}, got {shown}")
+    if p % 2 == 0:
+        raise DomainError(f"p must be odd, got {describe(p)}")
+    if p < 3:
+        raise DomainError(f"p must be at least 3, got {describe(p)}")
 
 
 def basis_element(i: int) -> LaurentPoly:

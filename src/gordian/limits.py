@@ -29,19 +29,24 @@ def materialization_limit() -> int:
     return value
 
 
-def decimal(value) -> str:
-    """str(value) for an int or a Fraction of any size.
-
-    Python refuses to convert an integer of more digits than
-    sys.get_int_max_str_digits() to text; such a value raises
-    MaterializationLimitError naming PYTHONINTMAXSTRDIGITS, Python's own
-    override, instead of a bare ValueError.
-    """
+def describe(value) -> str:
+    """str(value) for an int or a Fraction of any size, or "a number of N
+    bits" past Python's limit of sys.get_int_max_str_digits() digits for
+    integer string conversion, so that messages never raise while naming it."""
     try:
         return str(value)
-    except ValueError as exc:
-        bits = max(abs(value.numerator), value.denominator).bit_length()
+    except ValueError:
+        return f"a number of {max(abs(value.numerator), value.denominator).bit_length()} bits"
+
+
+def decimal(value) -> str:
+    """describe(value), except that a value past Python's digit limit raises
+    MaterializationLimitError naming PYTHONINTMAXSTRDIGITS, Python's own
+    override, instead of a bare ValueError."""
+    text = describe(value)
+    if text.startswith("a number of "):
         raise MaterializationLimitError(
-            f"a number of {bits} bits exceeds Python's limit of {sys.get_int_max_str_digits()} digits "
+            f"{text} exceeds Python's limit of {sys.get_int_max_str_digits()} digits "
             "for integer string conversion; set PYTHONINTMAXSTRDIGITS=0 to override"
-        ) from exc
+        )
+    return text

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from gordian.errors import DomainError
+from gordian import circle
+from gordian.errors import DomainError, MaterializationLimitError
 from gordian.knots import (
     FormalKnot,
     GeneratorId,
@@ -42,21 +43,33 @@ def test_generator_id_validation():
     assert GeneratorId(3).mirror() == GeneratorId(3, True)
 
 
-def test_generator_id_messages_past_the_digit_limit():
+def test_messages_past_the_digit_limit(monkeypatch):
     """Past Python's limit for integer string conversion p is described by
     its bit length, not by a bare ValueError from formatting the message;
     below it the messages keep p in decimal."""
+    monkeypatch.delenv("GORDIAN_MAX_P", raising=False)
     with pytest.raises(DomainError, match="^p must be odd, got 4$"):
         GeneratorId(4)
     with pytest.raises(DomainError, match="^p must be at least 3, got 1$"):
         GeneratorId(1)
+    with pytest.raises(MaterializationLimitError, match=r"^torus polynomial for p=1000001 exceeds"):
+        torus_poly(1000001)
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        with pytest.raises(DomainError, match="^p must be odd, got an integer of 16610 bits$"):
+        with pytest.raises(DomainError, match="^p must be odd, got a number of 16610 bits$"):
             GeneratorId(10**5000)
-        with pytest.raises(DomainError, match="^p must be at least 3, got an integer of 16610 bits$"):
+        with pytest.raises(DomainError, match="^p must be at least 3, got a number of 16610 bits$"):
             GeneratorId(-(10**5000) - 1)
+        huge = 10**5000 + 1
+        guard = r" exceeds the materialization guard \(1000000\)"
+        for build, text in (
+            (lambda: torus_poly(huge), "torus polynomial for p=a number of 16610 bits"),
+            (lambda: circle.breakpoint_grid([huge, 3]), r"merging breakpoints of generators \[3, a number of 16610 bits\]"),
+            (lambda: alexander(generator_knot(huge)), "Alexander polynomial of degree a number of 16609 bits"),
+        ):
+            with pytest.raises(MaterializationLimitError, match=f"^{text}{guard}"):
+                build()
     finally:
         sys.set_int_max_str_digits(saved)
 

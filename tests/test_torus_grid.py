@@ -26,6 +26,11 @@ POOL = [3, 5, 7, 9, 11, 13, 15, 21]
 # ---------------------------------------------------------------------------
 # the replaced Fraction code, kept as references
 
+def reference_generator_breakpoints(p):
+    """The circle roots (2k+1)/(2p) of D_p without the half turn, one by one."""
+    return [F(2 * k + 1, 2 * p) for k in range(p) if k != (p - 1) // 2]
+
+
 def reference_merged_breakpoints(ps):
     """Sorted distinct circle breakpoints, one Fraction set for all p."""
     limit = materialization_limit()
@@ -37,7 +42,7 @@ def reference_merged_breakpoints(ps):
         )
     merged = set()
     for p in ps:
-        merged.update(circle.generator_breakpoints(p))
+        merged.update(reference_generator_breakpoints(p))
     return sorted(merged)
 
 
@@ -81,7 +86,8 @@ def reference_torus_min_root_gap(ps):
     """The torus branch of min_root_gap: per-generator breakpoint sets."""
     if not ps:
         return GapBound(F(1), True)
-    return GapBound(reference_min_gap(sorted({b for p in ps for b in circle.generator_breakpoints(p)})), True)
+    bps = sorted({b for p in ps for b in reference_generator_breakpoints(p)})
+    return GapBound(reference_min_gap(bps), True)
 
 
 def reference_signature_of_torus_product(ps):
@@ -91,7 +97,7 @@ def reference_signature_of_torus_product(ps):
         return signature.StepFun.constant(0)
     all_bps = []
     for p in ps:
-        all_bps.extend(circle.generator_breakpoints(p))
+        all_bps.extend(reference_generator_breakpoints(p))
     if len(set(all_bps)) != len(all_bps):
         raise NonSimpleRootError(f"torus product over p = {tuple(ps)} has repeated circle roots")
     bps = sorted(all_bps)
@@ -168,7 +174,8 @@ def test_breakpoint_grid_matches_fraction_breakpoints(ps):
     assert sorted({F(x, n) for x, _ in grid}) == reference_merged_breakpoints(ps)
     assert grid == sorted(grid)
     for p in set(ps):
-        assert [F(x, n) for x, q in grid if q == p] == circle.generator_breakpoints(p)
+        assert [F(x, n) for x, q in grid if q == p] == reference_generator_breakpoints(p)
+        assert circle.generator_breakpoints(p) == reference_generator_breakpoints(p)
 
 
 @settings(max_examples=100, deadline=None)
