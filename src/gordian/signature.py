@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from . import circle, sturm
@@ -118,7 +118,7 @@ def _cos_isolation(n: int) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple
     if alternating:
         ivs = tuple((cuts[j + 1], cuts[j]) for j in range(m))
         return ivs, poly
-    ivs = sturm.isolate_roots(poly, Fraction(-2), Fraction(2))
+    ivs = sturm.isolate_roots(sturm.square_free_chain(poly)[1], Fraction(-2), Fraction(2))
     return tuple(reversed(ivs)), poly
 
 
@@ -416,8 +416,9 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     """Sturm-sequence isolation of the roots of to_chebyshev(d) in [-2, 2].
 
     This is the one place outside torus_factorization that converts d to
-    its Chebyshev form q and splits off q's square-free part; the result
-    carries both, and the repeated part is their exact quotient.
+    its Chebyshev form q and splits off q's square-free part, whose Sturm
+    chain comes from the same remainder sequence when q is square-free; the
+    result carries both, and the repeated part is their exact quotient.
 
     Cached on d for code that reads both invariants of one polynomial in one
     process: signature_of_poly and min_root_gap both isolate d, so calling
@@ -435,7 +436,7 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     if sturm.degree(q) < 1:
         sign = 1 if q[0] > 0 else -1
         return RootIsolation(q, q, q, (), (sign,))
-    qt = sturm.square_free_part(q)
+    qt, chain = sturm.square_free_chain(q)
     interior = qt
     degenerate: list[tuple[Fraction, Fraction]] = []
     for c in (-2, 2):
@@ -444,7 +445,9 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
             assert not rem
             interior = quo
             degenerate.append((Fraction(c), Fraction(c)))
-    ivs = sturm.isolate_roots(interior, Fraction(-2), Fraction(2)) if sturm.degree(interior) >= 1 else []
+    if degenerate:
+        chain = sturm.sturm_chain(interior)
+    ivs = sturm.isolate_roots(chain, Fraction(-2), Fraction(2)) if sturm.degree(interior) >= 1 else []
     ivs = _separate_intervals(interior, ivs)
     all_ivs = sorted(degenerate + list(ivs))
     signs = []
@@ -478,7 +481,10 @@ def _separate_intervals(
 def _gap_sign(q: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     if lo >= hi:
         return 0
-    return sturm.psign(q, (lo + hi) / 2)
+    n = lo.numerator * hi.denominator + hi.numerator * lo.denominator
+    d = 2 * lo.denominator * hi.denominator
+    g = gcd(n, d)
+    return sturm.sign_at(q, n // g, d // g)
 
 
 def _check_simple_circle_roots(d: LaurentPoly, iso: RootIsolation) -> None:
@@ -494,8 +500,8 @@ def _check_simple_circle_roots(d: LaurentPoly, iso: RootIsolation) -> None:
         return
     repeated, rem = sturm.divmod_int_exact(iso.poly, iso.square_free)
     assert not rem
-    gt = sturm.square_free_part(repeated)
-    if sturm.count_roots(sturm.sturm_chain(gt), Fraction(-2), Fraction(2)) > 0:
+    _, chain = sturm.square_free_chain(repeated)
+    if sturm.count_roots(chain, Fraction(-2), Fraction(2)) > 0:
         raise NonSimpleRootError(f"{d} has a repeated circle root")
 
 

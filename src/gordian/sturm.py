@@ -2,12 +2,13 @@
 
 Polynomials are tuples of coefficients in ascending degree order with the
 leading coefficient nonzero; () is the zero polynomial.  All arithmetic is
-exact over the integers and rationals.  Sign tests, which are all that root
-counting, splitting, isolation and refinement consult, are integer-only:
-psign clears the denominator of the rational point instead of evaluating
-over Fraction.  Division is integer-only too: divmod_int_exact serves every
-caller.  peval and pdivmod are the Fraction evaluation and division that
-the integer kernels are tested against; nothing in the package calls them.
+exact, and sign tests, bisection and division are integer-only: sign_at
+takes a point as numerator and positive denominator; split_point,
+isolate_roots and refine_root bisect on integer pairs in lowest terms and
+build a Fraction only for the intervals they return; divmod_int_exact serves
+every division.  peval and pdivmod are the Fraction evaluation and division
+that the integer kernels are tested against; nothing in the package calls
+them.
 """
 
 from __future__ import annotations
@@ -39,20 +40,24 @@ def peval(f: Sequence, x):
     return acc
 
 
-def psign(f: Sequence[int], x) -> int:
-    """Sign (-1, 0 or 1) of the integer polynomial f at the rational x.
+def sign_at(f: Sequence[int], n: int, d: int) -> int:
+    """Sign (-1, 0 or 1) of the integer polynomial f at n/d, for d > 0.
 
-    With x = n/d and d > 0 this is the sign of d^deg * f(n/d), accumulated
-    by Horner's rule as acc*n + c*d^k, so no Fraction is built.
+    This is the sign of d^deg * f(n/d), accumulated by Horner's rule as
+    acc*n + c*d^k, so no Fraction is built and n/d need not be reduced.
     """
     if not f:
         return 0
-    n, d = x.numerator, x.denominator
     acc, dk = f[-1], 1
     for c in reversed(f[:-1]):
         dk *= d
         acc = acc * n + c * dk
     return (acc > 0) - (acc < 0)
+
+
+def psign(f: Sequence[int], x) -> int:
+    """Sign (-1, 0 or 1) of the integer polynomial f at the rational x."""
+    return sign_at(f, x.numerator, x.denominator)
 
 
 def pderiv(f: Sequence) -> tuple:
@@ -167,25 +172,31 @@ def pgcd(f: Sequence, g: Sequence) -> IntPoly:
     return a if a[-1] > 0 else pneg(a)
 
 
-def square_free_part(f: Sequence[int]) -> IntPoly:
-    """primitive(f) divided by gcd(f, f').
+def square_free_chain(f: Sequence[int]) -> tuple[IntPoly, list[IntPoly]]:
+    """primitive(f) divided by gcd(f, f'), and the Sturm chain of that quotient.
 
-    Both are primitive, so by Gauss's lemma the quotient is a primitive
-    integer polynomial and the division is exact at every integer step.
+    sturm_chain(f) ends at +-gcd(f, f') (Basu, Pollack & Roy, Algorithms in
+    Real Algebraic Geometry, ch. 2): a constant exactly when f is square-free,
+    and then it is the chain; only a repeated factor costs a second sequence.
+    By Gauss's lemma the division of primitive polynomials is exact over Z.
     """
-    f = primitive(f)
-    if degree(f) <= 0:
-        return f
-    g = pgcd(f, pderiv(f))
-    if degree(g) == 0:
-        return f
-    quo, rem = divmod_int_exact(f, g)
+    chain = sturm_chain(f)
+    g = chain[-1]
+    if degree(g) <= 0:
+        return chain[0], chain
+    quo, rem = divmod_int_exact(chain[0], g if g[-1] > 0 else pneg(g))
     assert not rem
-    return quo
+    return quo, sturm_chain(quo)
+
+
+def square_free_part(f: Sequence[int]) -> IntPoly:
+    """primitive(f) divided by gcd(f, f')."""
+    return square_free_chain(f)[0]
 
 
 def sturm_chain(f: Sequence) -> list[IntPoly]:
-    """Sturm sequence of a square-free polynomial, each entry primitive."""
+    """Sturm sequence of a square-free polynomial, each entry primitive; for
+    any f, the signed remainder sequence of (f, f') down to +-gcd(f, f')."""
     chain = [primitive(f)]
     d = primitive(pderiv(chain[0]))
     if d:
@@ -220,67 +231,74 @@ def count_roots(chain: list[IntPoly], a, b) -> int:
     return sign_variations(sa) - sign_variations(sb)
 
 
-def split_point(f: Sequence, lo: Rat, hi: Rat) -> tuple[Rat, int]:
-    """A point x strictly between lo and hi where f does not vanish, and the
-    sign of f there (psign(f, x), never 0)."""
-    width = hi - lo
+def _split_offsets():
+    """Offsets num/den in (0, 1) for split_point to try: 1/den for small den,
+    then the odd multiples of 1/32, 1/64, ...; f vanishes at finitely many."""
     for den in (2, 3, 4, 5, 7, 8, 11, 13, 16, 17, 19, 23):
-        x = lo + width / den
-        s = psign(f, x)
-        if s != 0:
-            return x, s
-    # f has finitely many roots, so some dyadic point in the interval is free.
+        yield 1, den
     den = 32
     while True:
         for num in range(1, den, 2):
-            x = lo + width * Fraction(num, den)
-            s = psign(f, x)
-            if s != 0:
-                return x, s
+            yield num, den
         den *= 2
 
 
-def isolate_roots(f: Sequence, lo: Rat, hi: Rat) -> list[tuple[Rat, Rat]]:
-    """Disjoint open rational intervals, each containing exactly one root of
-    the square-free polynomial f in (lo, hi); endpoints are never roots.
+def split_point(f: Sequence[int], a: int, ad: int, b: int, bd: int) -> tuple[int, int, int]:
+    """A point m/md strictly between a/ad and b/bd (ad, bd > 0, a/ad < b/bd)
+    where f does not vanish, in lowest terms, and the sign of f there:
+    (m, md, s) with s = sign_at(f, m, md), never 0."""
+    lo, width, den0 = a * bd, b * ad - a * bd, ad * bd
+    for num, den in _split_offsets():
+        m, md = lo * den + width * num, den0 * den
+        g = gcd(m, md)
+        m, md = m // g, md // g
+        s = sign_at(f, m, md)
+        if s != 0:
+            return m, md, s
 
-    The Sturm chain is evaluated once per point for the length of the call:
-    each stack entry carries the sign variations at both of its ends, so a
-    split point is evaluated once although it bounds two intervals.  The
-    chain starts with f, whose sign at a split point is the one split_point
-    found, so only the rest of the chain is evaluated there.
+
+def isolate_roots(chain: list[IntPoly], lo: Rat, hi: Rat) -> list[tuple[Rat, Rat]]:
+    """Disjoint open rational intervals, each containing exactly one root in
+    (lo, hi) of the square-free polynomial chain[0], given its Sturm chain
+    (see square_free_chain); endpoints are never roots.
+
+    Each stack entry carries the sign variations at both of its integer
+    ends, so a split point is evaluated once although it bounds two
+    intervals, and only after chain[0], whose sign split_point found.  The
+    upper half is popped first, so the intervals come out descending.
     """
-    chain = sturm_chain(f)
-    lo, hi = Fraction(lo), Fraction(hi)
-    end_signs = [[psign(p, x) for p in chain] for x in (lo, hi)]
+    ends = [(x.numerator, x.denominator) for x in (lo, hi)]
+    end_signs = [[sign_at(p, n, d) for p in chain] for n, d in ends]
     if end_signs[0][0] == 0 or end_signs[1][0] == 0:
         raise ValueError("isolation endpoints must not be roots")
     f, rest = chain[0], chain[1:]
     out: list[tuple[Rat, Rat]] = []
-    stack = [(lo, hi, *map(sign_variations, end_signs))]
+    stack = [(*ends[0], *ends[1], *map(sign_variations, end_signs))]
     while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb
-        if n == 0:
+        a, ad, b, bd, va, vb = stack.pop()
+        roots = va - vb
+        if roots == 0:
             continue
-        if n == 1:
-            out.append((a, b))
+        if roots == 1:
+            out.append((Fraction(a, ad), Fraction(b, bd)))
             continue
-        m, sm = split_point(f, a, b)
-        vm = sign_variations([sm] + [psign(p, m) for p in rest])
-        stack.append((a, m, va, vm))
-        stack.append((m, b, vm, vb))
-    out.sort()
+        m, md, sm = split_point(f, a, ad, b, bd)
+        vm = sign_variations([sm] + [sign_at(p, m, md) for p in rest])
+        stack.append((a, ad, m, md, va, vm))
+        stack.append((m, md, b, bd, vm, vb))
+    out.reverse()
     return out
 
 
 def refine_root(f: Sequence, lo: Rat, hi: Rat, width: Rat) -> tuple[Rat, Rat]:
     """Shrink an isolating interval of f below the requested width by bisection."""
-    slo = psign(f, lo)
-    while hi - lo > width:
-        m, sm = split_point(f, lo, hi)
+    a, ad, b, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    wn, wd = width.numerator, width.denominator
+    slo = sign_at(f, a, ad)
+    while (b * ad - a * bd) * wd > wn * ad * bd:
+        m, md, sm = split_point(f, a, ad, b, bd)
         if (slo > 0) != (sm > 0):
-            hi = m
+            b, bd = m, md
         else:
-            lo, slo = m, sm
-    return lo, hi
+            a, ad, slo = m, md, sm
+    return Fraction(a, ad), Fraction(b, bd)

@@ -316,6 +316,21 @@ def test_isolation_handles_roots_at_plus_minus_one():
     assert iso.circle_root_count() == 1
 
 
+@pytest.mark.parametrize(
+    "text, intervals, signs, roots",
+    [
+        ("t^-2-2t^-1+2-2t+t^2", [["-2/9", "2/3"], ["2", "2"]], [1, -1, 0], 3),
+        ("t^-3-t^-1-t+t^3", [["-2", "-2"], ["-2/9", "2/3"], ["2", "2"]], [0, 1, -1, 0], 4),
+    ],
+)
+def test_isolation_of_interior_roots_next_to_roots_at_plus_minus_two(text, intervals, signs, roots):
+    """q = x(x - 2) and x(x - 2)(x + 2): the factors x -+ 2 are divided out,
+    and the interior root is isolated with the chain of what is left."""
+    isolate_circle_roots.cache_clear()
+    iso = isolate_circle_roots(parse_poly(text))
+    assert iso.payload() == {"intervals": intervals, "sign_pattern": signs, "circle_roots": roots}
+
+
 # ---------------------------------------------------------------------------
 # sup distance
 
@@ -710,17 +725,20 @@ def counting(monkeypatch, owner, name, calls):
 
 
 def test_signature_of_square_free_poly_converts_and_splits_once(monkeypatch):
-    """On a square-free general d, the isolation converts d and runs the gcd
-    once, and signature_of_poly itself does neither again.  d's top
-    coefficient is -5, so torus_factorization rejects it unconverted."""
+    """On a square-free general d, the isolation converts d and builds one
+    remainder sequence, which is both the gcd test and the Sturm chain, and
+    signature_of_poly itself does neither again.  d's top coefficient is -5,
+    so torus_factorization rejects it unconverted."""
     d = from_basis([-4, 4, 5, 3, -2, -1, -1, -1, -4, 5, 2, -1, 2, 5])
     assert str(d).startswith("-5t^-14+8t^-13")
-    gcd_calls, chebyshev_calls, factor_calls = [], [], []
+    gcd_calls, chain_calls, chebyshev_calls, factor_calls = [], [], [], []
     counting(monkeypatch, sturm, "pgcd", gcd_calls)
+    counting(monkeypatch, sturm, "sturm_chain", chain_calls)
     counting(monkeypatch, signature, "to_chebyshev", chebyshev_calls)
     counting(monkeypatch, laurent, "to_chebyshev", factor_calls)
     isolate_circle_roots.cache_clear()
     assert len(signature_of_poly(d).breakpoints) == 14
-    assert len(gcd_calls) == 1
+    assert len(gcd_calls) == 0
+    assert len(chain_calls) == 1
     assert len(chebyshev_calls) == 1
     assert len(factor_calls) == 0

@@ -74,7 +74,7 @@ def test_isolation_separates_random_rational_roots():
         roots = sorted(roots)
         f = poly_from_roots(roots)
         lo, hi = min(roots) - 1, max(roots) + 1
-        ivs = sturm.isolate_roots(f, lo, hi)
+        ivs = sturm.isolate_roots(sturm.sturm_chain(f), lo, hi)
         assert len(ivs) == len(roots)
         for (a, b), r in zip(ivs, roots):
             assert a < r < b
@@ -83,7 +83,7 @@ def test_isolation_separates_random_rational_roots():
 
 def test_isolation_irrational_roots():
     f = (-2, 0, 1)  # x^2 - 2
-    ivs = sturm.isolate_roots(f, F(-2), F(2))
+    ivs = sturm.isolate_roots(sturm.sturm_chain(f), F(-2), F(2))
     assert len(ivs) == 2
     (a1, b1), (a2, b2) = ivs
     assert a1 < F(-141, 100) < F(-142, 101) < b1 or (a1 < F(-1414214, 10**6) < b1)
@@ -92,7 +92,7 @@ def test_isolation_irrational_roots():
 
 def test_refine_root_narrows_and_keeps_root():
     f = (-2, 0, 1)
-    ivs = sturm.isolate_roots(f, F(0), F(2))
+    ivs = sturm.isolate_roots(sturm.sturm_chain(f), F(0), F(2))
     lo, hi = sturm.refine_root(f, *ivs[0], F(1, 10**6))
     assert hi - lo <= F(1, 10**6)
     assert (sturm.peval(f, lo) > 0) != (sturm.peval(f, hi) > 0)
@@ -102,7 +102,9 @@ def test_refine_root_narrows_and_keeps_root():
 
 def test_split_point_avoids_roots():
     f = poly_from_roots([F(1, 2)])
-    x, s = sturm.split_point(f, F(0), F(1))
+    n, d, s = sturm.split_point(f, 0, 1, 1, 1)
+    x = F(n, d)
+    assert (x.numerator, x.denominator) == (n, d)
     assert F(0) < x < F(1) and sturm.peval(f, x) != 0
     assert s == sturm.psign(f, x)
 
@@ -274,7 +276,7 @@ def reference_isolate_roots(f, lo, hi):
         if n == 1:
             out.append((a, b))
             continue
-        m, _ = sturm.split_point(f, a, b)
+        m, _ = reference_split_point(f, a, b)
         n_left = sturm.count_roots(chain, a, m)
         stack.append((a, m, n_left))
         stack.append((m, b, n - n_left))
@@ -306,7 +308,7 @@ def test_isolation_matches_count_roots_at_every_split(cofactor, roots, window):
         lo, hi = sorted(window)
         assume(lo < hi)
     assume(sturm.psign(f, lo) != 0 and sturm.psign(f, hi) != 0)
-    assert sturm.isolate_roots(f, lo, hi) == reference_isolate_roots(f, lo, hi)
+    assert sturm.isolate_roots(sturm.sturm_chain(f), lo, hi) == reference_isolate_roots(f, lo, hi)
 
 
 @pytest.mark.parametrize("n", [7, 12, 30, 45])
@@ -314,28 +316,28 @@ def test_isolation_of_cosine_polynomials_matches_reference(n):
     from gordian.signature import _cos_interior_poly
 
     poly = _cos_interior_poly(n)
-    ivs = sturm.isolate_roots(poly, F(-2), F(2))
+    ivs = sturm.isolate_roots(sturm.sturm_chain(poly), F(-2), F(2))
     assert len(ivs) == (n - 1) // 2
     assert ivs == reference_isolate_roots(poly, F(-2), F(2))
 
 
 def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
     chains, calls = [], []
-    real_chain, real_psign = sturm.sturm_chain, sturm.psign
+    real_chain, real_sign_at = sturm.sturm_chain, sturm.sign_at
 
     def counting_chain(f):
         chains.append(real_chain(f))
         return chains[-1]
 
-    def counting_psign(f, x):
-        s = real_psign(f, x)
-        calls.append((tuple(f), F(x), s))
+    def counting_sign_at(f, n, d):
+        s = real_sign_at(f, n, d)
+        calls.append((tuple(f), F(n, d), s))
         return s
 
     monkeypatch.setattr(sturm, "sturm_chain", counting_chain)
-    monkeypatch.setattr(sturm, "psign", counting_psign)
+    monkeypatch.setattr(sturm, "sign_at", counting_sign_at)
     f = poly_from_roots([F(k, 7) for k in range(-6, 7)])
-    ivs = sturm.isolate_roots(f, F(-2), F(2))
+    ivs = sturm.isolate_roots(sturm.sturm_chain(f), F(-2), F(2))
     assert len(ivs) == 13 and len(chains) == 1
     chain = chains[0]
     assert len(chain) == 14
@@ -351,3 +353,152 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
     calls.clear()
     assert reference_isolate_roots(f, F(-2), F(2)) == ivs
     assert max(Counter(x for q, x, _ in calls if q == chain[1]).values()) > 1
+
+
+# ---------------------------------------------------------------------------
+# integer bisection and the one-sequence square-free part, against the
+# Fraction bisection and the gcd-then-chain split they replaced
+
+
+def reference_sturm_chain(f):
+    """Sturm sequence of a square-free polynomial, each entry primitive."""
+    chain = [sturm.primitive(f)]
+    d = sturm.primitive(sturm.pderiv(chain[0]))
+    if d:
+        chain.append(d)
+    while sturm.degree(chain[-1]) > 0:
+        r = sturm.primitive(sturm.scaled_rem(chain[-2], chain[-1]))
+        if not r:
+            break
+        chain.append(sturm.pneg(r))
+    return chain
+
+
+def reference_square_free_part(f):
+    """primitive(f) divided by the gcd of a separate pgcd(f, f') run."""
+    f = sturm.primitive(f)
+    if sturm.degree(f) <= 0:
+        return f
+    g = sturm.pgcd(f, sturm.pderiv(f))
+    if sturm.degree(g) == 0:
+        return f
+    quo, rem = sturm.divmod_int_exact(f, g)
+    assert not rem
+    return quo
+
+
+def reference_split_point(f, lo, hi):
+    """split_point over Fraction: the point and the sign of f there."""
+    width = hi - lo
+    for den in (2, 3, 4, 5, 7, 8, 11, 13, 16, 17, 19, 23):
+        x = lo + width / den
+        s = sturm.psign(f, x)
+        if s != 0:
+            return x, s
+    den = 32
+    while True:
+        for num in range(1, den, 2):
+            x = lo + width * F(num, den)
+            s = sturm.psign(f, x)
+            if s != 0:
+                return x, s
+        den *= 2
+
+
+def reference_fraction_isolate_roots(f, lo, hi):
+    """isolate_roots over Fraction, building the chain of f itself."""
+    chain = reference_sturm_chain(f)
+    lo, hi = F(lo), F(hi)
+    end_signs = [[sturm.psign(p, x) for p in chain] for x in (lo, hi)]
+    if end_signs[0][0] == 0 or end_signs[1][0] == 0:
+        raise ValueError("isolation endpoints must not be roots")
+    f, rest = chain[0], chain[1:]
+    out = []
+    stack = [(lo, hi, *map(sturm.sign_variations, end_signs))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        n = va - vb
+        if n == 0:
+            continue
+        if n == 1:
+            out.append((a, b))
+            continue
+        m, sm = reference_split_point(f, a, b)
+        vm = sturm.sign_variations([sm] + [sturm.psign(p, m) for p in rest])
+        stack.append((a, m, va, vm))
+        stack.append((m, b, vm, vb))
+    out.sort()
+    return out
+
+
+def reference_refine_root(f, lo, hi, width):
+    """refine_root over Fraction."""
+    slo = sturm.psign(f, lo)
+    while hi - lo > width:
+        m, sm = reference_split_point(f, lo, hi)
+        if (slo > 0) != (sm > 0):
+            hi = m
+        else:
+            lo, slo = m, sm
+    return lo, hi
+
+
+# Roots at the points bisection of (-2, 2) tries first, so that split_point
+# falls back to the later offsets, and roots anywhere else.
+DYADIC = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(3, 2), F(-3, 2)]
+planted_roots = st.lists(st.one_of(st.sampled_from(DYADIC), rationals), max_size=6)
+# f vanishes at the first twelve offsets of (0, 1) and at 1/32, so splitting
+# (0, 1) reaches the odd multiples of 1/32.
+FIRST_OFFSET_ROOTS = [F(1, den) for den in (2, 3, 4, 5, 7, 8, 11, 13, 16, 17, 19, 23, 32)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=8).map(sturm.trim),
+    planted_roots,
+    st.one_of(st.none(), st.tuples(rationals, rationals)),
+    st.integers(1, 2**20),
+)
+@example([1], DYADIC, None, 1000)
+@example([1], [F(1, 3), F(2, 3), F(-2, 3)], (F(-2), F(2)), 3**10)
+@example([1], FIRST_OFFSET_ROOTS, (F(0), F(1)), 7)
+def test_integer_bisection_matches_fraction_bisection(cofactor, roots, window, precision):
+    f = sturm.square_free_part(sturm.pmul(cofactor or (1,), poly_from_roots(roots)))
+    assume(sturm.degree(f) >= 1)
+    if window is None:
+        b = root_bound(f)
+        lo, hi = F(-b), F(b)
+    else:
+        lo, hi = sorted(window)
+        assume(lo < hi)
+    assume(sturm.psign(f, lo) != 0 and sturm.psign(f, hi) != 0)
+    ivs = sturm.isolate_roots(sturm.square_free_chain(f)[1], lo, hi)
+    assert ivs == reference_fraction_isolate_roots(f, lo, hi)
+    for a, b in [(lo, hi)] + ivs:
+        m, md, s = sturm.split_point(f, a.numerator, a.denominator, b.numerator, b.denominator)
+        assert (F(m, md), s) == reference_split_point(f, a, b)
+        assert (F(m, md).numerator, F(m, md).denominator) == (m, md)
+        width = (b - a) / precision
+        assert sturm.refine_root(f, a, b, width) == reference_refine_root(f, a, b, width)
+
+
+def test_split_point_reaches_the_odd_dyadic_offsets():
+    f = poly_from_roots(FIRST_OFFSET_ROOTS)
+    assert sturm.split_point(f, 0, 1, 1, 1) == (3, 32, sturm.psign(f, F(3, 32)))
+    assert reference_split_point(f, F(0), F(1)) == (F(3, 32), sturm.psign(f, F(3, 32)))
+    # An interval with unreduced ends and a root at its midpoint: the den-3 point.
+    f = poly_from_roots([F(1, 2)])
+    assert sturm.split_point(f, 2, 6, 4, 6) == (4, 9, sturm.psign(f, F(4, 9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=7).map(sturm.trim), planted_roots)
+@example([1], [F(1, 2), F(1, 2)])
+@example([0, 0, 3], [])
+@example([4], [])
+def test_square_free_chain_matches_gcd_then_chain(cofactor, roots):
+    f = sturm.pmul(cofactor or (1,), poly_from_roots(roots))
+    for g in (f, sturm.pmul(f, f), sturm.pmul(sturm.pmul(f, f), cofactor or (1,))):
+        sf, chain = sturm.square_free_chain(g)
+        assert sf == reference_square_free_part(g) == sturm.square_free_part(g)
+        assert chain == reference_sturm_chain(sf)
