@@ -264,7 +264,7 @@ def isolate_roots(chain: list[IntPoly], lo: Rat, hi: Rat) -> list[tuple[Rat, Rat
 
     Each stack entry carries the sign variations at both of its integer
     ends, so a split point is evaluated once although it bounds two
-    intervals, and only after chain[0], whose sign split_point found.  The
+    intervals, and split_point's sign stands in for chain[0] there.  The
     upper half is popped first, so the intervals come out descending.
     """
     ends = [(x.numerator, x.denominator) for x in (lo, hi)]

@@ -104,7 +104,6 @@ def test_split_point_avoids_roots():
     f = poly_from_roots([F(1, 2)])
     n, d, s = sturm.split_point(f, 0, 1, 1, 1)
     x = F(n, d)
-    assert (x.numerator, x.denominator) == (n, d)
     assert F(0) < x < F(1) and sturm.peval(f, x) != 0
     assert s == sturm.psign(f, x)
 
