@@ -327,7 +327,7 @@ def independence_witness(ps: Sequence[int], signs: Sequence[int]) -> Turn:
                 break
         else:
             raise SpacingError(
-                f"no full sign-{want} arc of generator {describe(p)} fits inside "
+                f"no full sign {want:+d} arc of generator {describe(p)} fits inside "
                 f"({describe(lo)}, {describe(hi)}); "
                 "successive ratios below 3 violate the spacing precondition"
             )

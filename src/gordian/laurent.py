@@ -70,7 +70,9 @@ class LaurentPoly:
         return LaurentPoly({-e: c for e, c in self.terms})
 
     def is_symmetric(self) -> bool:
-        return self == self.involution()
+        """True iff the image under t -> 1/t is self, compared term by term."""
+        t = self.terms
+        return all(e == -f and c == g for (e, c), (f, g) in zip(t, reversed(t)))
 
     def __add__(self, other):
         other = _coerce(other)

@@ -3,15 +3,18 @@
 A signature step function sends a turn angle to 1 - Sign(d(e^(2 pi i theta)))
 for a normalized polynomial d.  Products of torus polynomials have rational
 breakpoints; every other polynomial gets breakpoints carried as refinable
-isolating intervals in the x = 2 cos(2 pi theta) coordinate, where Sturm
-sequences make all comparisons exact.  The value of a step function at a
-breakpoint is the average of the two adjacent arc values.
+isolating intervals in the x = 2 cos(2 pi theta) coordinate.  Two roots are
+compared exactly by integer signs in one shared bisection of the overlap of
+their intervals, and by a gcd when they stay together.  The value of a step
+function at a breakpoint is the average of the two adjacent arc values.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
+import itertools
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence
@@ -131,34 +134,39 @@ def _rational_cos_ref(r: Fraction) -> tuple[tuple[int, ...], Fraction, Fraction]
     return poly, lo, hi
 
 
-def _common_root_in_overlap(
-    p1: Sequence[int], i1: tuple[Fraction, Fraction], p2: Sequence[int], i2: tuple[Fraction, Fraction]
-) -> bool:
-    g = sturm.pgcd(p1, p2)
-    if sturm.degree(g) < 1:
-        return False
-    lo = max(i1[0], i2[0])
-    hi = min(i1[1], i2[1])
-    if lo >= hi:
-        return False
-    return sturm.count_roots(sturm.sturm_chain(g), lo, hi) > 0
+_GCD_AFTER = 24
 
 
 def _cmp_x_intervals(p1, lo1, hi1, p2, lo2, hi2) -> int:
-    """-1/0/+1 comparing the unique roots of p1 in (lo1,hi1) and p2 in (lo2,hi2)."""
-    # Refine a few rounds first: distinct roots separate quickly and the
-    # exact equality test (a polynomial gcd) is only needed when they persist.
-    for _ in range(4):
-        if hi1 <= lo2 or hi2 <= lo1:
-            return -1 if hi1 <= lo2 else 1
-        lo1, hi1 = sturm.refine_root(p1, lo1, hi1, (hi1 - lo1) / 2)
-        lo2, hi2 = sturm.refine_root(p2, lo2, hi2, (hi2 - lo2) / 2)
-    if _common_root_in_overlap(p1, (lo1, hi1), p2, (lo2, hi2)):
-        return 0
-    while not (hi1 <= lo2 or hi2 <= lo1):
-        lo1, hi1 = sturm.refine_root(p1, lo1, hi1, (hi1 - lo1) / 2)
-        lo2, hi2 = sturm.refine_root(p2, lo2, hi2, (hi2 - lo2) / 2)
-    return -1 if hi1 <= lo2 else 1
+    """-1/0/+1 comparing the unique roots of p1 in (lo1,hi1) and p2 in (lo2,hi2).
+
+    One shared bisection of the overlap (a, b) of the intervals: at a, at b,
+    then at midpoints in lowest terms, the sign of each polynomial, read
+    against its sign at the low end of its interval, puts its root below, at
+    or above the point.  Two different answers, or a root at the point,
+    decide; otherwise the half holding both roots is kept.  Equal irrational
+    roots never separate, so after _GCD_AFTER such midpoints they are equal
+    iff gcd(p1, p2) has a root in (a, b) (Basu, Pollack & Roy, ch. 10).
+    """
+    if hi1 <= lo2 or hi2 <= lo1:
+        return -1 if hi1 <= lo2 else 1
+    s1, s2 = sturm.psign(p1, lo1), sturm.psign(p2, lo2)
+    a, b = max(lo1, lo2), min(hi1, hi2)
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    n, d = an, ad
+    for step in itertools.count(-1):
+        c1, c2 = s1 * sturm.sign_at(p1, n, d), s2 * sturm.sign_at(p2, n, d)
+        if c1 != c2 or not c1:
+            return (c1 > c2) - (c1 < c2)
+        if c1 > 0:
+            an, ad = n, d
+        else:
+            bn, bd = n, d
+        if step == _GCD_AFTER:
+            chain = sturm.sturm_chain(sturm.pgcd(p1, p2))
+            if sturm.count_roots(chain, Fraction(an, ad), Fraction(bn, bd)) > 0:
+                return 0
+        n, d = (bn, bd) if step < 0 else _midpoint(an, ad, bn, bd)
 
 
 def angle_cmp(a: Angle, b: Angle) -> int:
@@ -169,19 +177,18 @@ def angle_cmp(a: Angle, b: Angle) -> int:
     ra, rb = _region(a), _region(b)
     if ra != rb:
         return -1 if ra < rb else 1
-    upper = ra == 3
-    if isinstance(a, AlgebraicAngle) and isinstance(b, AlgebraicAngle):
-        xcmp = _cmp_x_intervals(a.poly, a.lo, a.hi, b.poly, b.lo, b.hi)
-    elif isinstance(a, AlgebraicAngle):
-        r = as_turn(b)
-        folded = r if r < HALF else 1 - r
-        poly, lo, hi = _rational_cos_ref(folded)
-        xcmp = _cmp_x_intervals(a.poly, a.lo, a.hi, poly, lo, hi)
-    else:
-        return -angle_cmp(b, a)
+    xcmp = _cmp_x_intervals(*_x_interval(a), *_x_interval(b))
     # In the lower half x = 2 cos(2 pi theta) decreases with theta; in the
     # upper half it increases.
-    return xcmp if upper else -xcmp
+    return xcmp if ra == 3 else -xcmp
+
+
+def _x_interval(a: Angle) -> tuple[tuple[int, ...], Fraction, Fraction]:
+    """(poly, lo, hi) isolating x = 2 cos(2 pi a), for a off turns 0 and 1/2."""
+    if isinstance(a, AlgebraicAngle):
+        return a.poly, a.lo, a.hi
+    r = as_turn(a)
+    return _rational_cos_ref(r if r < HALF else 1 - r)
 
 
 def angle_payload(a: Angle):
@@ -251,20 +258,17 @@ class StepFun:
     __neg__ = mirror
 
     def _arc_index(self, theta: Angle) -> int:
-        """Index i such that theta lies in the closed arc [bp[i], bp[i+1])."""
-        idx = len(self.breakpoints) - 1
-        for i, b in enumerate(self.breakpoints):
-            c = angle_cmp(b, theta)
-            if c <= 0:
-                idx = i
-            else:
-                break
-        return idx
+        """Index i such that theta lies in the closed arc [bp[i], bp[i+1]),
+        by binary search; before bp[0] that is the last arc."""
+        k = bisect.bisect_right(self.breakpoints, _ANGLE_KEY(theta), key=_ANGLE_KEY)
+        return (k - 1) % len(self.breakpoints)
 
     def value_at(self, theta: Angle) -> Fraction:
         """Value at an angle, averaging the side limits at breakpoints."""
         if not self.breakpoints:
             return Fraction(self.values[0])
+        if not isinstance(theta, AlgebraicAngle):
+            theta = as_turn(theta)
         i = self._arc_index(theta)
         if angle_cmp(self.breakpoints[i], theta) == 0:
             return Fraction(self.values[i - 1] + self.values[i], 2)
@@ -481,10 +485,14 @@ def _separate_intervals(
 def _gap_sign(q: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     if lo >= hi:
         return 0
-    n = lo.numerator * hi.denominator + hi.numerator * lo.denominator
-    d = 2 * lo.denominator * hi.denominator
+    return sturm.sign_at(q, *_midpoint(lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+
+
+def _midpoint(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """The midpoint of an/ad and bn/bd (ad, bd > 0) in lowest terms."""
+    n, d = an * bd + bn * ad, 2 * ad * bd
     g = gcd(n, d)
-    return sturm.sign_at(q, n // g, d // g)
+    return n // g, d // g
 
 
 def _check_simple_circle_roots(d: LaurentPoly, iso: RootIsolation) -> None:

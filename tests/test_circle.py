@@ -340,14 +340,14 @@ def test_witness_spacing_failure_past_the_digit_limit():
     """Past Python's limit for integer string conversion the SpacingError
     message describes p and the interval ends by their bit lengths instead of
     raising a bare ValueError; below it the message keeps them in decimal."""
-    with pytest.raises(SpacingError, match=r"^no full sign--1 arc of generator 5 fits inside \(5/6, 7/6\); successive"):
+    with pytest.raises(SpacingError, match=r"^no full sign -1 arc of generator 5 fits inside \(5/6, 7/6\); successive"):
         independence_witness([3, 5], [1, -1])
     p = p_sequence(1500)
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
         with pytest.raises(SpacingError, match=(
-            r"^no full sign-1 arc of generator a number of 15175 bits fits inside "
+            r"^no full sign \+1 arc of generator a number of 15175 bits fits inside "
             r"\(a number of 15174 bits, a number of 15173 bits\); successive"
         )):
             independence_witness([p, p + 2], [1, 1])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import iv
 
 from gordian.errors import DomainError
@@ -96,6 +98,30 @@ def test_arithmetic_exact():
 def test_involution_is_exact_involution():
     d = LaurentPoly({-2: 5, 1: -3, 4: 7})
     assert d.involution().involution() == d
+
+
+def sparse_laurent(coeffs, mirror, nudge):
+    """A sparse Laurent polynomial; mirrored ones are symmetric until nudged."""
+    d = LaurentPoly(coeffs)
+    if mirror:
+        d = d + d.involution()
+    return d + LaurentPoly(nudge)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(
+    sparse_laurent,
+    st.dictionaries(st.integers(-7, 7), st.integers(-3, 3), max_size=6),
+    st.booleans(),
+    st.dictionaries(st.integers(-7, 7), st.integers(-1, 1), max_size=1),
+))
+@example(LaurentPoly())
+@example(LaurentPoly({-2: 1, 3: 1}))  # odd span
+@example(LaurentPoly({-3: 2, 0: 1, 3: 2}))
+@example(LaurentPoly({-3: 2, 0: 1, 3: -2}))
+@example(LaurentPoly({1: 1}))
+def test_symmetry_test_matches_the_involution(d):
+    assert d.is_symmetric() == (d == d.involution())
 
 
 def test_text_round_trip_examples():

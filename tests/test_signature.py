@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -742,3 +743,149 @@ def test_signature_of_square_free_poly_converts_and_splits_once(monkeypatch):
     assert len(chain_calls) == 1
     assert len(chebyshev_calls) == 1
     assert len(factor_calls) == 0
+
+
+# ---------------------------------------------------------------------------
+# the shared bisection and the binary search against the code they replaced
+
+def reference_common_root_in_overlap(p1, i1, p2, i2):
+    """The gcd equality test the comparator ran after four refinement rounds."""
+    g = sturm.pgcd(p1, p2)
+    if sturm.degree(g) < 1:
+        return False
+    lo = max(i1[0], i2[0])
+    hi = min(i1[1], i2[1])
+    if lo >= hi:
+        return False
+    return sturm.count_roots(sturm.sturm_chain(g), lo, hi) > 0
+
+
+def reference_cmp_x_intervals(p1, lo1, hi1, p2, lo2, hi2):
+    """Refine both intervals a round at a time, with the gcd test after four."""
+    for _ in range(4):
+        if hi1 <= lo2 or hi2 <= lo1:
+            return -1 if hi1 <= lo2 else 1
+        lo1, hi1 = sturm.refine_root(p1, lo1, hi1, (hi1 - lo1) / 2)
+        lo2, hi2 = sturm.refine_root(p2, lo2, hi2, (hi2 - lo2) / 2)
+    if reference_common_root_in_overlap(p1, (lo1, hi1), p2, (lo2, hi2)):
+        return 0
+    while not (hi1 <= lo2 or hi2 <= lo1):
+        lo1, hi1 = sturm.refine_root(p1, lo1, hi1, (hi1 - lo1) / 2)
+        lo2, hi2 = sturm.refine_root(p2, lo2, hi2, (hi2 - lo2) / 2)
+    return -1 if hi1 <= lo2 else 1
+
+
+def reference_value_at(f, theta):
+    """value_at by a linear scan of the breakpoints."""
+    if not f.breakpoints:
+        return F(f.values[0])
+    idx = len(f.breakpoints) - 1
+    for i, b in enumerate(f.breakpoints):
+        if angle_cmp(b, theta) <= 0:
+            idx = i
+        else:
+            break
+    if angle_cmp(f.breakpoints[idx], theta) == 0:
+        return F(f.values[idx - 1] + f.values[idx], 2)
+    return F(f.values[idx])
+
+
+def root_intervals(factors, lo, hi, width):
+    """(poly, lo, hi) for each root in (lo, hi) of the square-free part of the
+    product of factors, isolated on (lo, hi) and refined below width if given."""
+    f = functools.reduce(sturm.pmul, factors, (1,))
+    q, chain = sturm.square_free_chain(f)
+    out = []
+    for a, b in sturm.isolate_roots(chain, lo, hi):
+        if width is not None:
+            a, b = sturm.refine_root(q, a, b, width)
+        out.append((q, a, b))
+    return out
+
+
+# n x - m with rational roots, and x^2 + b x + c, mostly with irrational ones.
+linear_factors = st.builds(lambda m, n: (-m, n), st.integers(-6, 6), st.integers(1, 4))
+quadratic_factors = st.builds(lambda b, c: (c, b, 1), st.integers(-4, 4), st.integers(-6, 6))
+factor_lists = st.lists(st.one_of(linear_factors, quadratic_factors), max_size=2)
+# Two isolation ranges on different bisection grids, so that intervals of the
+# two polynomials come out disjoint, nested or partly overlapping.
+RANGES = ((F(-100, 7), F(100, 9)), (F(-100, 9), F(100, 7)))
+widths = st.sampled_from([None, F(1, 3), F(1, 64)])
+cos_refs = st.builds(lambda m, k: signature._rational_cos_ref(F(k % ((m - 1) // 2) + 1, m)),
+                     st.sampled_from([17, 29, 41]), st.integers(0, 40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.one_of(linear_factors, quadratic_factors), min_size=1, max_size=2),
+    factor_lists, factor_lists, widths, widths, st.lists(cos_refs, max_size=3),
+)
+@example([(-1, 1)], [], [(-3, 1)], None, None, [])  # x - 1 against (x - 1)(x - 3)
+@example([(-2, 0, 1)], [(-1, 1)], [(5, 1)], None, F(1, 64), [])  # a shared root sqrt 2
+def test_shared_bisection_matches_the_refinement_rounds(shared, own1, own2, w1, w2, refs):
+    """Roots of two products with a shared factor, isolated on different
+    grids, and 2 cos(2 pi k/m) for m = 17, 29, 41, all compared pairwise,
+    each also with itself."""
+    ivs = root_intervals(shared + own1, *RANGES[0], w1) + root_intervals(shared + own2, *RANGES[1], w2)
+    ivs += [ref for ref in refs if RANGES[0][0] < -2]
+    for a in ivs:
+        for b in ivs:
+            assert signature._cmp_x_intervals(*a, *b) == reference_cmp_x_intervals(*a, *b), (a, b)
+
+
+def test_root_at_a_dyadic_midpoint_needs_no_gcd(monkeypatch):
+    """x - 1 on (1/2, 3/2) and (x - 1)(x - 3) on (0, 2) share the overlap
+    (1/2, 3/2), whose midpoint is the root: both signs vanish there.  Equal
+    irrational roots are decided by the gcd, once."""
+    gcd_calls = []
+    counting(monkeypatch, sturm, "pgcd", gcd_calls)
+    assert signature._cmp_x_intervals((-1, 1), F(1, 2), F(3, 2), (3, -4, 1), F(0), F(2)) == 0
+    assert signature._cmp_x_intervals((3, -4, 1), F(0), F(2), (-1, 1), F(1, 2), F(3, 2)) == 0
+    assert gcd_calls == []
+    assert signature._cmp_x_intervals((-2, 0, 1), F(1), F(2), (10, -2, -5, 1), F(0), F(3)) == 0
+    assert len(gcd_calls) == 1
+
+
+def probe_turns(f):
+    """Rational turns inside each arc of f, before its first breakpoint, and
+    unnormalized ones, from float approximations of the breakpoints."""
+    approx = []
+    for b in f.breakpoints:
+        if isinstance(b, AlgebraicAngle):
+            t = math.acos(float(b.lo + b.hi) / 4) / (2 * math.pi)
+            approx.append(1 - t if b.upper else t)
+        else:
+            approx.append(float(b))
+    ends = approx[1:] + [approx[0] + 1] if approx else []
+    inside = [(t + u) / 2 for t, u in zip(approx, ends)] + [t / 2 for t in approx[:1]]
+    turns = [F(x).limit_denominator(64) for x in inside] + [F(0), F(1, 2), F(-1, 3), F(5, 4)]
+    return turns + [t + k for t in turns[:3] for k in (-1, 2)]
+
+
+def assert_value_at_matches_the_scan(f):
+    for i, b in enumerate(f.breakpoints):
+        assert f.value_at(b) == F(f.values[i - 1] + f.values[i], 2) == reference_value_at(f, b)
+    for theta in probe_turns(f) + list(signature_of_poly(FIG3).breakpoints):
+        assert f.value_at(theta) == reference_value_at(f, theta), theta
+
+
+@pytest.mark.parametrize("f", [
+    torus_step(3),
+    torus_step(15),
+    signature_of_poly(torus_poly(3) * torus_poly(5) * torus_poly(7)),
+    signature_of_poly(FIG3),
+    signature_of_poly(FIG3 * torus_poly(5)),
+    StepFun.constant(2),
+])
+def test_binary_search_matches_the_scan(f):
+    assert_value_at_matches_the_scan(f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(normalized_polys)
+def test_binary_search_matches_the_scan_on_random_signatures(d):
+    try:
+        f = signature_of_poly(d)
+    except NonSimpleRootError:
+        return
+    assert_value_at_matches_the_scan(f)
