@@ -134,6 +134,13 @@ def _rational_cos_ref(r: Fraction) -> tuple[tuple[int, ...], Fraction, Fraction]
     return poly, lo, hi
 
 
+def _midpoint(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """The midpoint of an/ad and bn/bd (ad, bd > 0) in lowest terms."""
+    n, d = an * bd + bn * ad, 2 * ad * bd
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 _GCD_AFTER = 24
 
 
@@ -486,13 +493,6 @@ def _gap_sign(q: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     if lo >= hi:
         return 0
     return sturm.sign_at(q, *_midpoint(lo.numerator, lo.denominator, hi.numerator, hi.denominator))
-
-
-def _midpoint(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-    """The midpoint of an/ad and bn/bd (ad, bd > 0) in lowest terms."""
-    n, d = an * bd + bn * ad, 2 * ad * bd
-    g = gcd(n, d)
-    return n // g, d // g
 
 
 def _check_simple_circle_roots(d: LaurentPoly, iso: RootIsolation) -> None:

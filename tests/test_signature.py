@@ -827,7 +827,7 @@ def test_shared_bisection_matches_the_refinement_rounds(shared, own1, own2, w1, 
     grids, and 2 cos(2 pi k/m) for m = 17, 29, 41, all compared pairwise,
     each also with itself."""
     ivs = root_intervals(shared + own1, *RANGES[0], w1) + root_intervals(shared + own2, *RANGES[1], w2)
-    ivs += [ref for ref in refs if RANGES[0][0] < -2]
+    ivs += refs
     for a in ivs:
         for b in ivs:
             assert signature._cmp_x_intervals(*a, *b) == reference_cmp_x_intervals(*a, *b), (a, b)
