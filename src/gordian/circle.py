@@ -19,9 +19,9 @@ from fractions import Fraction
 from math import ceil, lcm
 from typing import Iterable, Sequence
 
-from .errors import DomainError, MaterializationLimitError, SpacingError
+from .errors import DomainError, SpacingError
 from .laurent import _check_odd_p
-from .limits import describe, materialization_limit
+from .limits import describe, guard_error, materialization_limit
 
 Turn = Fraction
 HALF = Fraction(1, 2)
@@ -204,12 +204,8 @@ def breakpoint_grid(ps: Iterable[int]) -> tuple[int, list[tuple[int, int]]]:
     ps = sorted(set(ps))
     for p in ps:
         _check_odd_p(p)
-    limit = materialization_limit()
-    if sum(ps) > limit:
-        raise MaterializationLimitError(
-            f"merging breakpoints of generators [{', '.join(map(describe, ps))}] exceeds the materialization "
-            f"guard ({limit}); raise GORDIAN_MAX_P to override"
-        )
+    if sum(ps) > materialization_limit():
+        raise guard_error(f"merging breakpoints of generators [{', '.join(map(describe, ps))}]")
     half = lcm(*ps)
     grid = []
     for p in ps:

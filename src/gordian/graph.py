@@ -8,7 +8,8 @@ certificate for a pair of vertices carries a witness turn where the two
 signatures differ by exactly 2 d_T, which sandwiches the gordian distance in
 [d_T, 2 d_T].  Certificates also record the stronger per-edge jump of 4 that
 the sandwich would need to be an isometry onto the doubled tree metric; the
-discrepancy flag marks that the evaluated jump is 2, not 4.
+discrepancy flag marks that the evaluated jump is 2, not 4.  Verification
+rebuilds the certificate from (x, y, theta) and compares every field.
 """
 
 from __future__ import annotations
@@ -182,27 +183,30 @@ def certify_pair(x: Iterable[int], y: Iterable[int], valency: int | None = 2) ->
     and cancel, so they are excluded from the witness request.
     """
     x, y = tuple(x), tuple(y)
-    z = meet(x, y)
-    k = len(x) - len(z)
-    l = len(y) - len(z)
     kx, ky = phi(x, valency), phi(y, valency)
-    shared = set(phi(z, valency))
+    shared = set(phi(meet(x, y), valency))
     wanted = sorted(
         (g.p, side if g.mirrored else -side)
         for knot, side in ((kx, 1), (ky, -1))
         for g in knot
         if g not in shared
     )
+    theta = Fraction(0)
     if wanted:
         ps = [p for p, _ in wanted]
         signs = [s for _, s in wanted]
         theta = circle.independence_witness(ps, signs)
-    else:
-        theta = Fraction(0)
-    sigma_x = signature.eval_formal_signature(kx, theta)
-    sigma_y = signature.eval_formal_signature(ky, theta)
+    return _certificate(x, y, theta, valency)
+
+
+def _certificate(x: Vertex, y: Vertex, theta: Fraction, valency: int | None) -> IsometryCertificate:
+    """The certificate of (x, y) at the witness turn theta; the one builder of its fields."""
+    z = meet(x, y)
+    k = len(x) - len(z)
+    l = len(y) - len(z)
+    sigma_x = signature.eval_formal_signature(phi(x, valency), theta)
+    sigma_y = signature.eval_formal_signature(phi(y, valency), theta)
     observed = abs(sigma_x - sigma_y)
-    d_t = k + l
     return IsometryCertificate(
         x=x,
         y=y,
@@ -213,31 +217,17 @@ def certify_pair(x: Iterable[int], y: Iterable[int], valency: int | None = 2) ->
         sigma_x=sigma_x,
         sigma_y=sigma_y,
         lower=(observed + 1) // 2,
-        upper=2 * d_t,
+        upper=2 * (k + l),
         observed_gap=observed,
-        claimed_gap=4 * d_t,
-        discrepancy=(4 * d_t != observed),
+        claimed_gap=4 * (k + l),
+        discrepancy=(4 * (k + l) != observed),
     )
 
 
 def verify_certificate(cert: IsometryCertificate, valency: int | None = 2) -> bool:
-    """Re-evaluate both signatures at the stored witness and check all fields."""
-    kx, ky = phi(cert.x, valency), phi(cert.y, valency)
-    if signature.eval_formal_signature(kx, cert.theta) != cert.sigma_x:
-        return False
-    if signature.eval_formal_signature(ky, cert.theta) != cert.sigma_y:
-        return False
-    d_t = tree_distance(cert.x, cert.y)
-    return (
-        cert.meet == meet(cert.x, cert.y)
-        and cert.k + cert.l == d_t
-        and cert.observed_gap == abs(cert.sigma_x - cert.sigma_y)
-        and cert.lower == (cert.observed_gap + 1) // 2
-        and cert.upper == 2 * d_t
-        and cert.claimed_gap == 4 * d_t
-        and cert.discrepancy == (cert.claimed_gap != cert.observed_gap)
-        and cert.lower <= cert.upper
-    )
+    """Rebuild the certificate from its pair (x, y) and witness turn theta,
+    re-evaluating both signatures there, and compare every field."""
+    return cert == _certificate(cert.x, cert.y, cert.theta, valency)
 
 
 def vertices_to_depth(depth: int, valency: int = 2) -> list[Vertex]:

@@ -21,9 +21,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from . import circle, laurent
-from .errors import DomainError, MaterializationLimitError
+from .errors import DomainError
 from .laurent import LaurentPoly, _check_odd_p
-from .limits import decimal, describe, materialization_limit
+from .limits import decimal, describe, guard_error, materialization_limit
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -164,12 +164,9 @@ def multiplicities(k: FormalKnot) -> dict[int, int]:
 
 def alexander(k: FormalKnot) -> LaurentPoly:
     """Product of the torus polynomials of the constituents (mirror-invariant)."""
-    limit = materialization_limit()
     span = sum((g.p - 1) // 2 for g in k.generators)
-    if span > limit:
-        raise MaterializationLimitError(
-            f"Alexander polynomial of degree {describe(span)} exceeds the materialization guard ({limit})"
-        )
+    if span > materialization_limit():
+        raise guard_error(f"Alexander polynomial of degree {describe(span)}")
     out = laurent.ONE
     for g in k.generators:
         out = out * laurent.torus_poly(g.p)

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import sturm
-from .errors import DomainError, MaterializationLimitError
-from .limits import describe, materialization_limit
+from .errors import DomainError
+from .limits import describe, guard_error, materialization_limit
 
 BasisCoeffs = tuple[int, ...]
 
@@ -175,10 +175,7 @@ def torus_poly(p: int) -> LaurentPoly:
     """The normalized polynomial t^-(p-1)/2 (t^p + 1)/(t + 1) of the (p,2) torus knot."""
     _check_odd_p(p)
     if p > materialization_limit():
-        raise MaterializationLimitError(
-            f"torus polynomial for p={describe(p)} exceeds the materialization guard "
-            f"({materialization_limit()}); raise GORDIAN_MAX_P to override"
-        )
+        raise guard_error(f"torus polynomial for p={describe(p)}")
     h = (p - 1) // 2
     return LaurentPoly({j - h: (1 if j % 2 == 0 else -1) for j in range(p)})
 

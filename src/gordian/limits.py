@@ -29,6 +29,13 @@ def materialization_limit() -> int:
     return value
 
 
+def guard_error(what: str) -> MaterializationLimitError:
+    """The materialization guard's refusal of `what`, naming the limit and its override."""
+    return MaterializationLimitError(
+        f"{what} exceeds the materialization guard ({materialization_limit()}); raise {ENV_VAR} to override"
+    )
+
+
 def describe(value) -> str:
     """str(value) for an int or a Fraction of any size, or "a number of N
     bits" past Python's limit of sys.get_int_max_str_digits() digits for

@@ -65,15 +65,14 @@ Angle = Fraction | AlgebraicAngle
 
 
 def _region(a: Angle) -> int:
-    """0, (0,1/2), {1/2}, (1/2,1) -> 0..3, ordered around the circle."""
+    """0, (0,1/2), {1/2}, (1/2,1) -> 0..3 around the circle; a rational a is in [0, 1)."""
     if isinstance(a, AlgebraicAngle):
         return 3 if a.upper else 1
-    t = as_turn(a)
-    if t == 0:
+    if a == 0:
         return 0
-    if t < HALF:
+    if a < HALF:
         return 1
-    if t == HALF:
+    if a == HALF:
         return 2
     return 3
 
@@ -177,10 +176,14 @@ def _cmp_x_intervals(p1, lo1, hi1, p2, lo2, hi2) -> int:
 
 
 def angle_cmp(a: Angle, b: Angle) -> int:
-    """Exact circular-order comparison of angles in [0, 1)."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        ta, tb = a % 1, b % 1
-        return (ta > tb) - (ta < tb)
+    """Exact circular-order comparison of angles; a rational one counts modulo 1."""
+    if not isinstance(a, AlgebraicAngle):
+        a %= 1
+        if not isinstance(b, AlgebraicAngle):
+            b %= 1
+            return (a > b) - (a < b)
+    if not isinstance(b, AlgebraicAngle):
+        b %= 1
     ra, rb = _region(a), _region(b)
     if ra != rb:
         return -1 if ra < rb else 1
@@ -191,11 +194,10 @@ def angle_cmp(a: Angle, b: Angle) -> int:
 
 
 def _x_interval(a: Angle) -> tuple[tuple[int, ...], Fraction, Fraction]:
-    """(poly, lo, hi) isolating x = 2 cos(2 pi a), for a off turns 0 and 1/2."""
+    """(poly, lo, hi) isolating x = 2 cos(2 pi a); a rational a is in (0, 1), off 1/2."""
     if isinstance(a, AlgebraicAngle):
         return a.poly, a.lo, a.hi
-    r = as_turn(a)
-    return _rational_cos_ref(r if r < HALF else 1 - r)
+    return _rational_cos_ref(a if a < HALF else 1 - a)
 
 
 def angle_payload(a: Angle):

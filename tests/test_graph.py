@@ -181,6 +181,20 @@ def test_certificate_self_validation_catches_tampering():
     assert not verify_certificate(bad)
     bad = dataclasses.replace(cert, lower=cert.lower + 1)
     assert not verify_certificate(bad)
+    assert cert.k != cert.l
+    for bad in (
+        dataclasses.replace(cert, k=cert.l, l=cert.k),
+        dataclasses.replace(cert, meet=(0,)),
+        dataclasses.replace(cert, claimed_gap=cert.observed_gap, discrepancy=False),
+        dataclasses.replace(cert, discrepancy=not cert.discrepancy),
+    ):
+        assert not verify_certificate(bad), bad
+
+
+def test_certificates_verify_after_payload_round_trip():
+    for cert in certify_all(3):
+        again = type(cert).from_payload(cert.payload())
+        assert again == cert and verify_certificate(again)
 
 
 def test_certificate_witness_signs():

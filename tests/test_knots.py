@@ -74,6 +74,13 @@ def test_messages_past_the_digit_limit(monkeypatch):
         sys.set_int_max_str_digits(saved)
 
 
+def test_alexander_guard_names_the_override(monkeypatch):
+    monkeypatch.delenv("GORDIAN_MAX_P", raising=False)
+    with pytest.raises(MaterializationLimitError) as got:
+        alexander(FormalKnot([700001] * 3))
+    assert str(got.value).endswith("; raise GORDIAN_MAX_P to override")
+
+
 def test_p_sequence_values():
     assert p_sequence(1) == 3
     assert [p_sequence(n) for n in (2, 3, 4)] == [15, 105, 945]

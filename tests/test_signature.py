@@ -160,6 +160,11 @@ def test_algebraic_angle_equality_with_rational():
     assert angle_cmp(b, F(5, 6)) == 0
     assert angle_cmp(a, F(1, 5)) == -1 and angle_cmp(a, F(1, 7)) == 1
     assert angle_cmp(a, b) == -1
+    # rational operands count modulo one turn against an algebraic angle
+    assert angle_cmp(a, F(1, 6) + 1) == 0 and angle_cmp(F(1, 6) + 1, a) == 0
+    assert angle_cmp(b, F(5, 6) - 1) == 0 and angle_cmp(F(5, 6) - 1, b) == 0
+    assert angle_cmp(a, F(5, 6) - 1) == -1 and angle_cmp(F(-1, 5), b) == -1
+    assert angle_cmp(F(3, 2), a) == 1 and angle_cmp(b, F(-1)) == 1
 
 
 def test_algebraic_angle_comparison_across_polynomials():
