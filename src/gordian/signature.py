@@ -5,8 +5,9 @@ for a normalized polynomial d.  Products of torus polynomials have rational
 breakpoints; every other polynomial gets breakpoints carried as refinable
 isolating intervals in the x = 2 cos(2 pi theta) coordinate.  Two roots are
 compared exactly by integer signs in one shared bisection of the overlap of
-their intervals, and by a gcd when they stay together.  The value of a step
-function at a breakpoint is the average of the two adjacent arc values.
+their intervals, and by a gcd when they stay together; a root and a turn m/n
+by integer enclosures of 2 cos(2 pi m/n), and by division by Phi_n.  The
+value of a step function at a breakpoint is the average of its two sides.
 """
 
 from __future__ import annotations
@@ -77,60 +78,82 @@ def _region(a: Angle) -> int:
     return 3
 
 
-@functools.lru_cache(maxsize=None)
-def _cos_interior_poly(n: int) -> tuple[int, ...]:
-    """Square-free integer polynomial whose roots are 2 cos(2 pi j / n) for
-    the interior indices 0 < j < n/2 (the values in (-2, 2)).
+# Cached, with a bound: the binary search of value_at encloses one turn several times.
+@functools.lru_cache(maxsize=128)
+def _cos_bounds(r: Fraction, w: int) -> tuple[Fraction, Fraction]:
+    """a < 2 cos(2 pi r) < b with b - a < 2^-w, for 0 < r < 1/2 and w <= 2^20.
 
-    Obtained by rewriting the cyclotomic-style products (t^n - 1)/(t - 1)
-    (odd n) and (t^n - 1)/(t^2 - 1) (even n) in the x = t + 1/t coordinate.
+    Integer fixed point at scale d = 2^(w + 26), all bounds strict.  P sums
+    16 atan(1/5) d - 4 atan(1/239) d (Machin) as (-1)^j U_j // (2j+1) over
+    the J_x terms U_j = d // x^(2j+1) > 0: floors of the true terms, and an
+    alternating tail below 1, so P misses pi d by less than e = 16 (J_5 + 1)
+    + 4 (J_239 + 1), and X, 2 r P rounded down, misses 2 pi r d by less than
+    e + 1.  C sums d cos(X/d) by Taylor, X/d < 3.15: T_0 = d, T_k = T_(k-1)
+    X^2 // (d^2 (2k-1) 2k) for k < K, T_(K-1) = 0.  With true terms t_k =
+    q_k t_(k-1), q_k < 0.83 for k >= 2, 0 <= t_k - T_k < 1 + q_k (t_(k-1) -
+    T_(k-1)) < 6, and the alternating tail from K - 1 is below 6.  As
+    |cos'| <= 1, C misses d cos(2 pi r) by less than E = 6K + e + 1 < 2^24.
     """
-    if n < 3:
-        return (1,)
-    if n % 2:
-        h = (n - 1) // 2
-        sym = LaurentPoly({j: 1 for j in range(-h, h + 1)})
-    else:
-        k = n // 2
-        sym = LaurentPoly({2 * i - (k - 1): 1 for i in range(k)})
-    return to_chebyshev(sym)
+    d = 1 << (w + 26)
+    P = e = 0
+    for x, k in ((5, 16), (239, -4)):
+        u, j = d // x, 0
+        while u:
+            P += k * (-1) ** j * (u // (2 * j + 1))
+            u //= x * x
+            j += 1
+        e += abs(k) * (j + 1)
+    X = 2 * r.numerator * P // r.denominator
+    C = T = d
+    K = 1
+    while T:
+        T = T * X * X // (d * d * (2 * K - 1) * 2 * K)
+        C += (-1) ** K * T
+        K += 1
+    E = 6 * K + e + 1
+    return Fraction(2 * (C - E), d), Fraction(2 * (C + E), d)
 
 
-@functools.lru_cache(maxsize=None)
-def _cos_isolation(n: int) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[int, ...]]:
-    """Descending isolating intervals for the interior roots of _cos_interior_poly(n).
+def _cos_root_of(f: Sequence[int], n: int) -> bool:
+    """Whether f vanishes at 2 cos(2 pi m/n), for n >= 3 and m prime to n.
 
-    The roots 2 cos(2 pi j / n) interlace the values at half-integer j, so
-    floating-point proposals for the separators are verified by exact sign
-    alternation; Sturm isolation is only the fallback.
+    Its minimal polynomial, of degree phi(n)/2 (Lehmer 1933), is the x form
+    of Phi_n = prod over e | n of (1 - t^(n/e))^mu(e).  As p - 1 <= phi(n)
+    for a prime p | n, primes above 2 deg f + 1 are not tried: they make phi
+    exceed phi(n) > 2 deg f.
     """
-    import math
-
-    poly = _cos_interior_poly(n)
-    m = sturm.degree(poly)
-    if m < 1:
-        return (), poly
-    den = 1 << 40
-    cuts = []
-    for j in range(m + 1):
-        c = Fraction(round(2 * math.cos(math.pi * (2 * j + 1) / n) * den), den)
-        cuts.append(max(Fraction(-2), min(Fraction(2), c)))
-    signs = [sturm.psign(poly, c) for c in cuts]
-    alternating = all(signs) and all(a != b for a, b in zip(signs, signs[1:]))
-    if alternating:
-        ivs = tuple((cuts[j + 1], cuts[j]) for j in range(m))
-        return ivs, poly
-    ivs = sturm.isolate_roots(sturm.square_free_chain(poly)[1], Fraction(-2), Fraction(2))
-    return tuple(reversed(ivs)), poly
+    m = sturm.degree(f)
+    mu_divisors, rad = [(n, 1)], 1
+    for p in range(2, 2 * m + 2):
+        if n % p == 0 and gcd(p, rad) == 1:
+            rad *= p
+            mu_divisors += [(d // p, -mu) for d, mu in mu_divisors]
+    phi = sum(mu * d for d, mu in mu_divisors)
+    if phi > 2 * m:
+        return False
+    cyc = [1] + [0] * phi
+    for d, mu in mu_divisors:
+        for i in range(d, phi + 1) if mu < 0 else range(phi, d - 1, -1):
+            cyc[i] -= mu * cyc[i - d]
+    x_form = to_chebyshev(LaurentPoly({i - phi // 2: c for i, c in enumerate(cyc)}))
+    return not sturm.divmod_int_exact(f, x_form)[1]
 
 
-def _rational_cos_ref(r: Fraction) -> tuple[tuple[int, ...], Fraction, Fraction]:
-    """(poly, lo, hi) isolating x = 2 cos(2 pi r) for r in (0, 1/2)."""
-    assert 0 < r < HALF
-    n, m = r.denominator, r.numerator
-    intervals, poly = _cos_isolation(n)
-    lo, hi = intervals[m - 1]
-    return poly, lo, hi
+def _cmp_root_cos(f: Sequence[int], lo: Fraction, hi: Fraction, r: Fraction) -> int:
+    """-1/0/+1 comparing the root of f in (lo, hi) with c = 2 cos(2 pi r), 0 < r < 1/2.
+
+    Enclosures (a, b) of c at 32, 64, ... bits decide by an end outside (lo, hi)
+    or f's sign at an end inside, read against f's sign at lo.  Equal roots
+    never do, so from 64 bits on c in (a, b) inside (lo, hi) is tested as a root.
+    """
+    for k in itertools.count():
+        a, b = _cos_bounds(r, 32 << k)
+        if b <= lo or (b < hi and sturm.psign(f, lo) * sturm.psign(f, b) >= 0):
+            return 1
+        if a >= hi or (a > lo and sturm.psign(f, lo) * sturm.psign(f, a) <= 0):
+            return -1
+        if k and lo < a and b < hi and _cos_root_of(f, r.denominator):
+            return 0
 
 
 def _midpoint(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
@@ -178,26 +201,22 @@ def _cmp_x_intervals(p1, lo1, hi1, p2, lo2, hi2) -> int:
 def angle_cmp(a: Angle, b: Angle) -> int:
     """Exact circular-order comparison of angles; a rational one counts modulo 1."""
     if not isinstance(a, AlgebraicAngle):
-        a %= 1
         if not isinstance(b, AlgebraicAngle):
-            b %= 1
+            a, b = a % 1, b % 1
             return (a > b) - (a < b)
+        return -angle_cmp(b, a)
     if not isinstance(b, AlgebraicAngle):
         b %= 1
     ra, rb = _region(a), _region(b)
     if ra != rb:
         return -1 if ra < rb else 1
-    xcmp = _cmp_x_intervals(*_x_interval(a), *_x_interval(b))
+    if isinstance(b, AlgebraicAngle):
+        xcmp = _cmp_x_intervals(a.poly, a.lo, a.hi, b.poly, b.lo, b.hi)
+    else:
+        xcmp = _cmp_root_cos(a.poly, a.lo, a.hi, b if b < HALF else 1 - b)
     # In the lower half x = 2 cos(2 pi theta) decreases with theta; in the
     # upper half it increases.
     return xcmp if ra == 3 else -xcmp
-
-
-def _x_interval(a: Angle) -> tuple[tuple[int, ...], Fraction, Fraction]:
-    """(poly, lo, hi) isolating x = 2 cos(2 pi a); a rational a is in (0, 1), off 1/2."""
-    if isinstance(a, AlgebraicAngle):
-        return a.poly, a.lo, a.hi
-    return _rational_cos_ref(a if a < HALF else 1 - a)
 
 
 def angle_payload(a: Angle):
@@ -225,13 +244,9 @@ class StepFun:
     def __init__(self, breakpoints: Iterable[Angle], values: Iterable[int]):
         bps = list(breakpoints)
         vals = list(values)
-        if not bps:
-            if len(vals) != 1:
-                raise DomainError("a breakpoint-free step function needs exactly one value")
-            self.breakpoints = ()
-            self.values = (vals[0],)
-            return
-        if len(bps) != len(vals):
+        if not bps and len(vals) != 1:
+            raise DomainError("a breakpoint-free step function needs exactly one value")
+        if bps and len(bps) != len(vals):
             raise DomainError("breakpoints and values must have equal length")
         # Callers mostly pass breakpoints already in order (merged events,
         # torus grids), so one pass of comparisons confirms that before any
@@ -247,12 +262,8 @@ class StepFun:
         # circularly.  A single breakpoint is its own neighbour, so it goes
         # too: it cannot separate two different values.
         keep = [i for i in range(len(bps)) if vals[i] != vals[i - 1]]
-        if not keep:
-            self.breakpoints = ()
-            self.values = (vals[0],)
-            return
         self.breakpoints = tuple(bps[i] for i in keep)
-        self.values = tuple(vals[i] for i in keep)
+        self.values = tuple(vals[i] for i in keep) if keep else (vals[0],)
 
     @classmethod
     def constant(cls, value: int) -> "StepFun":
@@ -575,9 +586,7 @@ class GapBound:
 
 
 def _sqrt_lower(q: Fraction) -> Fraction:
-    """A rational lower bound for sqrt(q), positive whenever q > 0."""
-    if q <= 0:
-        return Fraction(0)
+    """A rational lower bound for sqrt(q), positive for q > 0."""
     return Fraction(isqrt(q.numerator * q.denominator), q.denominator)
 
 
@@ -586,46 +595,34 @@ def min_root_gap(d: LaurentPoly) -> GapBound:
 
     Exact for products of torus polynomials (rational breakpoints) and for
     the degenerate cases with at most one root; otherwise a certified
-    positive rational lower bound, obtained by refining the isolating
-    intervals and converting x-interval separations into angle bounds (the
-    derivative of 2 cos is at most 4 pi < 13, and near x = +-2 a square-root
-    bound applies).  Defined as 1 full turn when at most one root exists.
+    positive rational lower bound, converting the positive separations of
+    the isolating intervals into angle bounds (the derivative of 2 cos is at
+    most 4 pi < 13, and near x = +-2 a square-root bound applies).  Defined
+    as 1 full turn when at most one root exists.
     """
     ps = torus_factorization(d)
     if ps is not None:
         return GapBound(circle.min_breakpoint_gap(ps), True)
     iso = isolate_circle_roots(d)
-    n_circle = iso.circle_root_count()
-    if n_circle <= 1:
+    if iso.circle_root_count() <= 1:
         return GapBound(Fraction(1), True)
-    root0 = iso.root_at_zero_turn()
-    root_half = iso.root_at_half_turn()
     if not iso.interior_intervals():
         # Only the two exact roots at turns 0 and 1/2 remain.
         return GapBound(HALF, True)
-    while True:
-        bounds = _gap_bounds(iso, root0, root_half)
-        if all(b > 0 for b in bounds):
-            return GapBound(min(bounds), False)
-        width = min(hi - lo for lo, hi in iso.interior_intervals()) / 4
-        iso = iso.refined(width)
+    return GapBound(min(_gap_bounds(iso)), False)
 
 
-def _gap_bounds(iso: RootIsolation, root0: bool, root_half: bool) -> list[Fraction]:
+def _gap_bounds(iso: RootIsolation) -> list[Fraction]:
     interior = iso.interior_intervals()
-    bounds: list[Fraction] = []
     # Consecutive angles in the lower half: x intervals in descending order,
     # |d theta| >= |d x| / (4 pi) and 4 pi < 13.
     desc = list(reversed(interior))
-    for (a_lo, _a_hi), (_b_lo, b_hi) in zip(desc, desc[1:]):
-        bounds.append((a_lo - b_hi) / 13)
-    lo_min = interior[0][0]
-    hi_max = interior[-1][1]
+    bounds = [(a_lo - b_hi) / 13 for (a_lo, _a_hi), (_b_lo, b_hi) in zip(desc, desc[1:])]
     # Gap bridging the half turn (between theta and 1 - theta, or to an exact
     # root at 1/2): 1 - 2 theta >= sqrt(x + 2) / pi.
-    bounds.append(_sqrt_lower(lo_min + 2) / (8 if root_half else 4))
+    bounds.append(_sqrt_lower(interior[0][0] + 2) / (8 if iso.root_at_half_turn() else 4))
     # Gap wrapping through zero: 2 theta >= sqrt(2 - x) / pi.
-    bounds.append(_sqrt_lower(2 - hi_max) / (7 if root0 else 4))
+    bounds.append(_sqrt_lower(2 - interior[-1][1]) / (7 if iso.root_at_zero_turn() else 4))
     return bounds
 
 

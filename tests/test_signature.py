@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -25,6 +26,7 @@ from gordian.signature import (
     signature_of_poly,
     sup_distance,
 )
+from test_sturm import cos_interior_poly
 
 F = Fraction
 FIG3 = parse_poly("-t^-2+3t^-1-3+3t-t^2")
@@ -221,18 +223,15 @@ def test_angle_order_matches_numeric_values():
 
 
 def test_cos_reference_isolation_brackets_true_values():
-    from gordian.signature import _cos_isolation
-
-    mp.dps = 40
-    for n in (3, 4, 5, 6, 7, 12, 30, 210):
-        intervals, poly = _cos_isolation(n)
-        assert len(intervals) == ((n - 1) // 2 if n % 2 else n // 2 - 1)
-        from gordian import sturm
-
-        for j, (lo, hi) in enumerate(intervals, start=1):
-            x = 2 * cos(2 * pi * mpf(j) / n)
-            assert mpf(lo.numerator) / lo.denominator < x < mpf(hi.numerator) / hi.denominator
-            assert sturm.peval(poly, lo) != 0 and sturm.peval(poly, hi) != 0
+    """The enclosures of 2 cos(2 pi j/n) for every turn j/n in (0, 1/2)."""
+    with mp.workdps(60):
+        for n in (3, 4, 5, 6, 7, 12, 30, 210):
+            for j in range(1, (n + 1) // 2):
+                x = 2 * cos(2 * pi * mpf(j) / n)
+                for w in (32, 64, 128):
+                    lo, hi = signature._cos_bounds(F(j, n), w)
+                    assert hi - lo < F(1, 2**w)
+                    assert mpf(lo.numerator) / lo.denominator < x < mpf(hi.numerator) / hi.denominator
 
 
 def test_signature_general_path_matches_sign_oracle():
@@ -780,6 +779,63 @@ def reference_cmp_x_intervals(p1, lo1, hi1, p2, lo2, hi2):
     return -1 if hi1 <= lo2 else 1
 
 
+@functools.lru_cache(maxsize=None)
+def reference_cos_isolation(n):
+    """Descending isolating intervals for the interior roots of cos_interior_poly(n).
+
+    The roots 2 cos(2 pi j / n) interlace the values at half-integer j, so
+    floating-point proposals for the separators are verified by exact sign
+    alternation; Sturm isolation is only the fallback.
+    """
+    poly = cos_interior_poly(n)
+    m = sturm.degree(poly)
+    if m < 1:
+        return (), poly
+    den = 1 << 40
+    cuts = []
+    for j in range(m + 1):
+        c = F(round(2 * math.cos(math.pi * (2 * j + 1) / n) * den), den)
+        cuts.append(max(F(-2), min(F(2), c)))
+    signs = [sturm.psign(poly, c) for c in cuts]
+    alternating = all(signs) and all(a != b for a, b in zip(signs, signs[1:]))
+    if alternating:
+        ivs = tuple((cuts[j + 1], cuts[j]) for j in range(m))
+        return ivs, poly
+    ivs = sturm.isolate_roots(sturm.square_free_chain(poly)[1], F(-2), F(2))
+    return tuple(reversed(ivs)), poly
+
+
+def reference_rational_cos_ref(r):
+    """(poly, lo, hi) isolating x = 2 cos(2 pi r) for r in (0, 1/2)."""
+    assert 0 < r < F(1, 2)
+    intervals, poly = reference_cos_isolation(r.denominator)
+    lo, hi = intervals[r.numerator - 1]
+    return poly, lo, hi
+
+
+def reference_angle_cmp(a, b):
+    """angle_cmp with a rational turn isolated among the roots of unity of its
+    denominator and compared by the shared bisection."""
+    if not isinstance(a, AlgebraicAngle):
+        a %= 1
+        if not isinstance(b, AlgebraicAngle):
+            b %= 1
+            return (a > b) - (a < b)
+    if not isinstance(b, AlgebraicAngle):
+        b %= 1
+    ra, rb = signature._region(a), signature._region(b)
+    if ra != rb:
+        return -1 if ra < rb else 1
+
+    def x_interval(t):
+        if isinstance(t, AlgebraicAngle):
+            return t.poly, t.lo, t.hi
+        return reference_rational_cos_ref(min(t, 1 - t))
+
+    xcmp = signature._cmp_x_intervals(*x_interval(a), *x_interval(b))
+    return xcmp if ra == 3 else -xcmp
+
+
 def reference_value_at(f, theta):
     """value_at by a linear scan of the breakpoints."""
     if not f.breakpoints:
@@ -816,7 +872,7 @@ factor_lists = st.lists(st.one_of(linear_factors, quadratic_factors), max_size=2
 # two polynomials come out disjoint, nested or partly overlapping.
 RANGES = ((F(-100, 7), F(100, 9)), (F(-100, 9), F(100, 7)))
 widths = st.sampled_from([None, F(1, 3), F(1, 64)])
-cos_refs = st.builds(lambda m, k: signature._rational_cos_ref(F(k % ((m - 1) // 2) + 1, m)),
+cos_refs = st.builds(lambda m, k: reference_rational_cos_ref(F(k % ((m - 1) // 2) + 1, m)),
                      st.sampled_from([17, 29, 41]), st.integers(0, 40))
 
 
@@ -894,3 +950,112 @@ def test_binary_search_matches_the_scan_on_random_signatures(d):
     except NonSimpleRootError:
         return
     assert_value_at_matches_the_scan(f)
+
+
+# ---------------------------------------------------------------------------
+# a circle root against a rational turn: cosine enclosures against the
+# root-of-unity isolation they replaced, and against mpmath
+
+TURNS_UP_TO_60 = sorted({F(m, n) for n in range(1, 61) for m in range(n)})
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=5), st.sampled_from([None, 3, 5]))
+@example([1, -1], 3)  # the root of D_3 at turn 1/6
+@example([2], 5)  # the roots of D_5 at turns 1/10 and 3/10
+def test_rational_turn_comparison_matches_the_root_of_unity_isolation(a, p):
+    """angle_cmp of every algebraic breakpoint of a general signature, alone
+    or times D_3 or D_5, with every turn m/n, n <= 60, in its half circle."""
+    d = from_basis(a) if p is None else from_basis(a) * torus_poly(p)
+    try:
+        f = signature_of_poly(d)
+    except NonSimpleRootError:
+        return
+    bps = [b for b in f.breakpoints if isinstance(b, AlgebraicAngle)]
+    for t in TURNS_UP_TO_60:
+        for b in bps:
+            if b.upper == (t > F(1, 2)):
+                assert angle_cmp(b, t) == reference_angle_cmp(b, t), (b, t)
+
+
+def test_rational_turn_comparison_finds_roots_of_unity():
+    """The turns 1/6, 1/10 and 3/10 are breakpoints of D_3 and D_5 times a
+    general polynomial, and their mirrors 5/6, 9/10 and 7/10 too."""
+    f = signature_of_poly(FIG3 * torus_poly(3) * torus_poly(5))
+    for t in (F(1, 6), F(1, 10), F(3, 10)):
+        for turn in (t, 1 - t):
+            assert sum(angle_cmp(b, turn) == 0 for b in f.breakpoints) == 1
+            assert f.value_at(turn) == 1
+
+
+edge_turns = st.builds(
+    lambda base, n, side: base + side * F(1, n),
+    st.sampled_from([F(0), F(1, 4), F(1, 2)]),
+    st.one_of(st.integers(5, 10**6), st.integers(2**100 - 10, 2**100 + 1)),
+    st.sampled_from([1, -1]),
+).filter(lambda r: 0 < r < F(1, 2))
+random_turns = st.builds(
+    lambda m, n: F(m % ((n - 1) // 2) + 1, n), st.integers(0, 10**40), st.integers(3, 10**40)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(edge_turns, random_turns, st.sampled_from([F(1, 6), F(1, 4), F(1, 3)])),
+       st.sampled_from([32, 64, 128, 256, 1024, 2048]))
+def test_cos_enclosure_contains_the_cosine(r, w):
+    lo, hi = signature._cos_bounds(r, w)
+    assert hi - lo < F(1, 2**w)
+    with mp.workdps(max(250, w * 31 // 100 + 40)):
+        x = 2 * cos(2 * pi * mpf(r.numerator) / r.denominator)
+        assert mpf(lo.numerator) / lo.denominator < x < mpf(hi.numerator) / hi.denominator
+
+
+def uncached_seconds(f, theta):
+    """Fastest of three runs of f.value_at(theta), each with an empty enclosure cache."""
+    best = math.inf
+    for _ in range(3):
+        signature._cos_bounds.cache_clear()
+        t0 = time.perf_counter()
+        f.value_at(theta)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_value_at_is_fast_at_huge_denominators():
+    """value_at on FIG3 and 30 random general signatures at prime
+    denominators up to 10^30, at a random turn and at the turn nearest each
+    breakpoint, against the sign of the Chebyshev form from mpmath."""
+    rng = random.Random(30)
+    polys = [FIG3]
+    while len(polys) < 31:
+        d = from_basis([rng.randrange(-4, 5) for _ in range(rng.randrange(1, 6))])
+        try:
+            f = signature_of_poly(d)
+        except NonSimpleRootError:
+            continue
+        if any(isinstance(b, AlgebraicAngle) for b in f.breakpoints):
+            polys.append(d)
+    with mp.workdps(80):
+        for d in polys:
+            f, q = signature_of_poly(d), to_chebyshev(d)
+            for n in (101, 1009, 10007, 10**6 + 3, 10**12 + 39, 10**30 + 57):
+                turns = [F(rng.randrange(1, n), n)]
+                for b in f.breakpoints:
+                    x = (mpf(b.lo.numerator) / b.lo.denominator + mpf(b.hi.numerator) / b.hi.denominator) / 2
+                    t = mp.acos(x / 2) / (2 * pi)
+                    turns.append(F(int(mp.nint((1 - t if b.upper else t) * n)), n))
+                for theta in turns:
+                    y = sum(c * (2 * cos(2 * pi * mpf(theta.numerator) / theta.denominator)) ** i
+                            for i, c in enumerate(q))
+                    assert abs(y) > mpf(10) ** -60
+                    assert f.value_at(theta) == (0 if y > 0 else 2), (str(d), theta)
+                    assert uncached_seconds(f, theta) < 1e-3, (str(d), theta)
+
+
+def test_sum_and_sup_distance_with_a_torus_signature_at_large_p():
+    sf = signature_of_poly(FIG3)
+    torus = signature._signature_of_torus_product([10007])
+    t0 = time.perf_counter()
+    assert sup_distance(sf, torus) == 2
+    assert len((sf + torus).breakpoints) == 10008
+    assert time.perf_counter() - t0 < 1

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gordian import sturm
+from gordian.laurent import LaurentPoly, to_chebyshev
 
 F = Fraction
 
@@ -310,11 +311,29 @@ def test_isolation_matches_count_roots_at_every_split(cofactor, roots, window):
     assert sturm.isolate_roots(sturm.sturm_chain(f), lo, hi) == reference_isolate_roots(f, lo, hi)
 
 
+def cos_interior_poly(n):
+    """Square-free integer polynomial whose roots are 2 cos(2 pi j / n) for
+    the interior indices 0 < j < n/2 (the values in (-2, 2)).
+
+    Obtained by rewriting the cyclotomic-style products (t^n - 1)/(t - 1)
+    (odd n) and (t^n - 1)/(t^2 - 1) (even n) in the x = t + 1/t coordinate;
+    the comparison of a circle root with a rational turn isolated the roots
+    of this polynomial before it used enclosures of the cosine.
+    """
+    if n < 3:
+        return (1,)
+    if n % 2:
+        h = (n - 1) // 2
+        sym = LaurentPoly({j: 1 for j in range(-h, h + 1)})
+    else:
+        k = n // 2
+        sym = LaurentPoly({2 * i - (k - 1): 1 for i in range(k)})
+    return to_chebyshev(sym)
+
+
 @pytest.mark.parametrize("n", [7, 12, 30, 45])
 def test_isolation_of_cosine_polynomials_matches_reference(n):
-    from gordian.signature import _cos_interior_poly
-
-    poly = _cos_interior_poly(n)
+    poly = cos_interior_poly(n)
     ivs = sturm.isolate_roots(sturm.sturm_chain(poly), F(-2), F(2))
     assert len(ivs) == (n - 1) // 2
     assert ivs == reference_isolate_roots(poly, F(-2), F(2))
