@@ -132,19 +132,8 @@ class ArcSet:
     __invert__ = complement
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
-        if self.full:
-            return other
-        if other.full:
-            return self
-        pieces = []
-        mine = [seg for lo, hi in self.arcs for seg in _arc_pieces(lo, hi)]
-        theirs = [seg for lo, hi in other.arcs for seg in _arc_pieces(lo, hi)]
-        for a_lo, a_hi in mine:
-            for b_lo, b_hi in theirs:
-                lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-                if lo < hi:
-                    pieces.append((lo, hi))
-        return ArcSet(pieces)
+        """By De Morgan, exact in this regularized algebra."""
+        return ~(~self | ~other)
 
     __and__ = intersect
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 from . import circle, knots, signature
 from .errors import DomainError
 from .knots import FormalKnot, GeneratorId, UNKNOT, p_sequence
-from .limits import decimal
+from .limits import decimal, describe
 
 Vertex = tuple[int, ...]
 
@@ -306,9 +306,13 @@ def build_detour(path: Sequence[FormalKnot], forbidden: Iterable[FormalKnot]) ->
         if any(end == f for f in forbidden):
             raise DomainError(f"path endpoint {end} is itself forbidden")
     p = choose_detour(forbidden + path)
+    return DetourPlan(forbidden, path, p, _detoured(path, p))
+
+
+def _detoured(path: tuple[FormalKnot, ...], p: int) -> tuple[FormalKnot, ...]:
+    """[L_0, L_0 # K_p, ..., L_k # K_p, L_k] for the path [L_0, ..., L_k], or ()."""
     kp = knots.generator_knot(p)
-    lifted = tuple(entry + kp for entry in path)
-    return DetourPlan(forbidden, path, p, (path[0],) + lifted + (path[-1],))
+    return path[:1] + tuple(entry + kp for entry in path) + path[-1:]
 
 
 def distinctness_certificate(k1: FormalKnot, k2: FormalKnot) -> dict | None:
@@ -362,37 +366,27 @@ class DetourReport:
 
 
 def verify_detour(plan: DetourPlan) -> DetourReport:
-    """Check a detour plan: every interior entry is certified distinct from
-    every forbidden knot, and consecutive entries differ by exactly one
-    construction move (entering the detour, one original-path step with the
-    detour generator attached, or leaving the detour).
+    """Check a detour plan: its path is nonempty and rebuilds with detour_p to
+    exactly its detoured path, and every interior entry is certified distinct
+    from every forbidden knot.  A plan that does not rebuild gets one failure,
+    naming the first differing entry or the length.
 
     Adjacency of the original path entries is an axiom of the formal model,
     as is adjacency under a single connected sum with a gordian generator.
     """
+    dp, rebuilt = plan.detoured_path, _detoured(plan.path, plan.detour_p)
+    if not plan.path or dp != rebuilt:
+        at = next((i for i, (a, b) in enumerate(zip(dp, rebuilt)) if a != b), None)
+        what = (
+            "the path is empty" if not plan.path
+            else f"first at entry {at}" if at is not None
+            else f"it has {len(dp)} entries, not {len(rebuilt)}"
+        )
+        failure = f"detoured path differs from its rebuild with p = {describe(plan.detour_p)}: {what}"
+        return DetourReport(False, (), (), (failure,))
+    moves = ("add detour generator",) + ("original path step",) * (len(dp) - 3) + ("remove detour generator",)
     failures: list[str] = []
     certificates: list[dict] = []
-    moves: list[str] = []
-    kp = knots.generator_knot(plan.detour_p)
-    dp = plan.detoured_path
-    if len(dp) != len(plan.path) + 2:
-        failures.append("detoured path has the wrong length")
-    else:
-        if dp[0] != plan.path[0] or dp[-1] != plan.path[-1]:
-            failures.append("detoured path does not start and end at the original endpoints")
-        if dp[1] == dp[0] + kp:
-            moves.append("add detour generator")
-        else:
-            failures.append("first move does not add the detour generator")
-        for i in range(1, len(plan.path)):
-            if dp[i + 1] == plan.path[i] + kp:
-                moves.append("original path step")
-            else:
-                failures.append(f"move {i} does not track original path step {i}")
-        if dp[-2] == dp[-1] + kp:
-            moves.append("remove detour generator")
-        else:
-            failures.append("last move does not remove the detour generator")
     for i, entry in enumerate(dp[1:-1], start=1):
         for j, forb in enumerate(plan.forbidden):
             cert = distinctness_certificate(entry, forb)
@@ -402,5 +396,4 @@ def verify_detour(plan: DetourPlan) -> DetourReport:
                 )
             else:
                 certificates.append({"entry": i, "forbidden": j, **cert})
-    ok = not failures
-    return DetourReport(ok, tuple(certificates), tuple(moves), tuple(failures))
+    return DetourReport(not failures, tuple(certificates), moves, tuple(failures))

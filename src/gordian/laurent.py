@@ -211,25 +211,17 @@ def from_basis(a: Iterable[int]) -> LaurentPoly:
 def to_basis(d: LaurentPoly) -> BasisCoeffs:
     """The unique coefficients a with d = from_basis(a).
 
-    Solved by eliminating the top exponent first: the basis element indexed i
-    is the only one reaching exponent i + 1, where its coefficient is -1.
+    For e >= 1 the coefficient of t^e in from_basis(a) is
+    2 a_e - a_(e-1) - a_(e+1), so the a_i follow from the top exponent down.
     """
     if not is_normalized(d):
         raise DomainError(f"polynomial {d} is not normalized (symmetric with value 1 at t=1)")
-    coeffs: dict[int, int] = {}
-    r = d - ONE
-    while not r.is_zero():
-        n = r.degree()
-        if n < 1:
-            raise AssertionError("elimination left a nonzero constant; input was not normalized")
-        i = n - 1
-        ai = -r.coeff(n)
-        coeffs[i] = ai
-        r = r - basis_element(i) * ai
-    if not coeffs:
-        return ()
-    top = max(coeffs)
-    return tuple(sturm.trim([coeffs.get(i, 0) for i in range(top + 1)]))
+    n = d.degree()
+    coeffs = dict(d.terms)
+    a = [0] * (n + 2)
+    for e in range(n, 0, -1):
+        a[e - 1] = 2 * a[e] - a[e + 1] - coeffs.get(e, 0)
+    return tuple(a[:n])
 
 
 def linking_form(a: Iterable[int]) -> HalfLaurent:
@@ -238,38 +230,23 @@ def linking_form(a: Iterable[int]) -> HalfLaurent:
     This is the coefficient content of the self-linking expansion whose
     symmetric part recovers from_basis(a).
     """
-    acc: dict[int, Fraction] = {0: Fraction(1, 2)}
-
-    def add(e: int, c) -> None:
-        acc[e] = acc.get(e, Fraction(0)) + c
-
+    terms = [(0, Fraction(1, 2))]
     for i, ai in enumerate(a):
-        if not ai:
-            continue
         if i == 0:
-            add(0, Fraction(ai))
-            add(1, Fraction(-ai))
+            terms += [(0, ai), (1, -ai)]
         else:
             # (t^i + t^-i)(1 - t) = t^i + t^-i - t^(i+1) - t^(1-i)
-            add(i, Fraction(ai))
-            add(-i, Fraction(ai))
-            add(i + 1, Fraction(-ai))
-            add(1 - i, Fraction(-ai))
-    return HalfLaurent(acc)
+            terms += [(i, ai), (-i, ai), (i + 1, -ai), (1 - i, -ai)]
+    return HalfLaurent(terms)
 
 
 def symmetrize(f: HalfLaurent) -> LaurentPoly:
     """f(t) + f(1/t), which must have integer coefficients."""
-    acc: dict[int, Fraction] = {}
-    for e, c in f.terms:
-        acc[e] = acc.get(e, Fraction(0)) + c
-        acc[-e] = acc.get(-e, Fraction(0)) + c
-    out: dict[int, int] = {}
-    for e, c in acc.items():
+    s = HalfLaurent(f.terms + tuple((-e, c) for e, c in f.terms))
+    for e, c in s.terms:
         if c.denominator != 1:
             raise DomainError(f"symmetrization has non-integer coefficient {c} at t^{e}")
-        out[e] = int(c)
-    return LaurentPoly(out)
+    return LaurentPoly((e, int(c)) for e, c in s.terms)
 
 
 def to_chebyshev(d: LaurentPoly) -> tuple[int, ...]:
@@ -326,8 +303,6 @@ def torus_factorization(d: LaurentPoly) -> tuple[int, ...] | None:
     while sturm.degree(q) > 0:
         deg = sturm.degree(q)
         for p in range(2 * deg + 1, 2, -2):
-            if (p - 1) // 2 > deg:
-                continue
             quo, rem = sturm.divmod_int_exact(q, _torus_chebyshev(p))
             if not rem:
                 q = quo

@@ -154,20 +154,20 @@ def test_criterion_5_connectivity_detours():
 
 def test_criterion_6_root_isolation():
     with Criterion(6, "root isolation counts and brackets for D_p and the worked example", 5):
-        mp.dps = 50
-        for p in (3, 5, 15, 105):
-            iso = isolate_circle_roots(torus_poly(p)).refined(F(1, 10**6))
-            assert iso.circle_root_count() == p - 1
-            angles = [F(2 * k + 1, 2 * p) for k in range((p - 1) // 2)]
-            assert len(iso.intervals) == len(angles)
-            for (lo, hi), theta in zip(reversed(iso.intervals), angles):
-                x = 2 * cos(2 * pi * mpf(theta.numerator) / theta.denominator)
-                assert mpf(lo.numerator) / lo.denominator < x
-                assert x < mpf(hi.numerator) / hi.denominator
-                assert (sturm.peval(iso.poly, lo) > 0) != (sturm.peval(iso.poly, hi) > 0)
-        fig3 = parse_poly(FIG3_TEXT)
-        iso = isolate_circle_roots(fig3)
-        assert len(iso.intervals) == 1 and iso.circle_root_count() == 2
+        with mp.workdps(50):
+            for p in (3, 5, 15, 105):
+                iso = isolate_circle_roots(torus_poly(p)).refined(F(1, 10**6))
+                assert iso.circle_root_count() == p - 1
+                angles = [F(2 * k + 1, 2 * p) for k in range((p - 1) // 2)]
+                assert len(iso.intervals) == len(angles)
+                for (lo, hi), theta in zip(reversed(iso.intervals), angles):
+                    x = 2 * cos(2 * pi * mpf(theta.numerator) / theta.denominator)
+                    assert mpf(lo.numerator) / lo.denominator < x
+                    assert x < mpf(hi.numerator) / hi.denominator
+                    assert (sturm.peval(iso.poly, lo) > 0) != (sturm.peval(iso.poly, hi) > 0)
+            fig3 = parse_poly(FIG3_TEXT)
+            iso = isolate_circle_roots(fig3)
+            assert len(iso.intervals) == 1 and iso.circle_root_count() == 2
 
 
 def test_criterion_7_property_suites():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gordian.circle import (
     ArcSet,
+    _arc_pieces,
     arcs_of_generator,
     as_turn,
     generator_breakpoints,
@@ -112,6 +113,58 @@ def test_boolean_algebra_laws():
         assert (a | (a & b)) == a
         assert (a & ~a).is_empty()
         assert (a | ~a) == ArcSet.full_circle()
+
+
+def reference_intersect(a, b):
+    """Pairwise intersection of the arcs split at the seam: the O(n m) loop
+    that ArcSet.intersect was before it became ~(~a | ~b)."""
+    if a.full:
+        return b
+    if b.full:
+        return a
+    pieces = []
+    mine = [seg for lo, hi in a.arcs for seg in _arc_pieces(lo, hi)]
+    theirs = [seg for lo, hi in b.arcs for seg in _arc_pieces(lo, hi)]
+    for a_lo, a_hi in mine:
+        for b_lo, b_hi in theirs:
+            lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+            if lo < hi:
+                pieces.append((lo, hi))
+    return ArcSet(pieces)
+
+
+@st.composite
+def arc_sets(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return ArcSet.full_circle()
+    arcs = []
+    for _ in range(draw(st.integers(0, 5))):
+        den = draw(st.integers(2, 24))
+        lo = F(draw(st.integers(0, den - 1)), den)
+        arcs.append((lo, lo + F(draw(st.integers(1, den - 1)), den)))
+    return ArcSet(arcs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(arc_sets(), arc_sets())
+def test_intersection_matches_the_pairwise_reference(a, b):
+    assert a & b == reference_intersect(a, b) == b & a
+
+
+odd_small_p = st.integers(1, 52).map(lambda n: 2 * n + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(odd_small_p, odd_small_p)
+def test_generator_arc_intersection_matches_the_pairwise_reference(p, q):
+    a, b = arcs_of_generator(p), arcs_of_generator(q)
+    assert a & b == reference_intersect(a, b)
+    assert (a & ~b) == reference_intersect(a, ~b)
+
+
+def test_generator_arc_intersection_near_1000_matches_the_pairwise_reference():
+    a, b = arcs_of_generator(1001), arcs_of_generator(999)
+    assert a & b == reference_intersect(a, b)
 
 
 def test_measure_additive_on_disjoint_pieces():

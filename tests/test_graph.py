@@ -13,6 +13,7 @@ from gordian import circle, signature
 from gordian.errors import DomainError
 from gordian.graph import (
     DetourPlan,
+    DetourReport,
     build_detour,
     certify_all,
     certify_pair,
@@ -346,6 +347,118 @@ def test_verify_detour_flags_broken_plans():
     smuggled = DetourPlan((forb,), plan.path, plan.detour_p, plan.detoured_path)
     report = verify_detour(smuggled)
     assert not report.ok
+
+
+def reference_verify_detour(plan):
+    """The move-by-move check that verify_detour was before it rebuilt the
+    detoured path; it indexes the path, so an empty path raises IndexError."""
+    failures, certificates, moves = [], [], []
+    kp = generator_knot(plan.detour_p)
+    dp = plan.detoured_path
+    if len(dp) != len(plan.path) + 2:
+        failures.append("detoured path has the wrong length")
+    else:
+        if dp[0] != plan.path[0] or dp[-1] != plan.path[-1]:
+            failures.append("detoured path does not start and end at the original endpoints")
+        if dp[1] == dp[0] + kp:
+            moves.append("add detour generator")
+        else:
+            failures.append("first move does not add the detour generator")
+        for i in range(1, len(plan.path)):
+            if dp[i + 1] == plan.path[i] + kp:
+                moves.append("original path step")
+            else:
+                failures.append(f"move {i} does not track original path step {i}")
+        if dp[-2] == dp[-1] + kp:
+            moves.append("remove detour generator")
+        else:
+            failures.append("last move does not remove the detour generator")
+    for i, entry in enumerate(dp[1:-1], start=1):
+        for j, forb in enumerate(plan.forbidden):
+            cert = distinctness_certificate(entry, forb)
+            if cert is None:
+                failures.append(
+                    f"interior entry {i} ({entry}) cannot be certified distinct from forbidden knot {j}"
+                )
+            else:
+                certificates.append({"entry": i, "forbidden": j, **cert})
+    return DetourReport(not failures, tuple(certificates), tuple(moves), tuple(failures))
+
+
+TWO_STEP = build_detour([UNKNOT, generator_knot(3), generator_knot(3) + generator_knot(5)], [generator_knot(7)])
+
+
+def replace_entry(i, knot=generator_knot(11)):
+    dp = list(TWO_STEP.detoured_path)
+    dp[i] = knot
+    return dataclasses.replace(TWO_STEP, detoured_path=tuple(dp))
+
+
+@pytest.mark.parametrize(
+    "plan, what",
+    [
+        (DetourPlan((), (), 3, (UNKNOT, UNKNOT)), "the path is empty"),
+        (DetourPlan((), (), 3, ()), "the path is empty"),
+        (dataclasses.replace(TWO_STEP, detoured_path=TWO_STEP.detoured_path[:-1]), "it has 4 entries, not 5"),
+        (dataclasses.replace(TWO_STEP, detoured_path=TWO_STEP.detoured_path[:1]), "it has 1 entries, not 5"),
+        (dataclasses.replace(TWO_STEP, detoured_path=TWO_STEP.detoured_path + (UNKNOT,)), "it has 6 entries, not 5"),
+        (replace_entry(0), "first at entry 0"),
+        (replace_entry(4), "first at entry 4"),
+        (replace_entry(1), "first at entry 1"),
+        (replace_entry(2), "first at entry 2"),
+        (replace_entry(3), "first at entry 3"),
+        (replace_entry(4, UNKNOT), "first at entry 4"),
+        (dataclasses.replace(TWO_STEP, detour_p=TWO_STEP.detour_p + 2), "first at entry 1"),
+    ],
+)
+def test_verify_detour_reports_a_malformed_plan_without_raising(plan, what):
+    report = verify_detour(plan)
+    p = plan.detour_p
+    assert report == DetourReport(False, (), (), (f"detoured path differs from its rebuild with p = {p}: {what}",))
+    assert not report
+
+
+def test_verify_detour_names_a_huge_detour_parameter_without_raising():
+    huge = dataclasses.replace(TWO_STEP, detour_p=p_sequence(3000))
+    (failure,) = verify_detour(huge).failures
+    assert failure.endswith(f"p = a number of {p_sequence(3000).bit_length()} bits: first at entry 1")
+
+
+knot_pool = st.lists(st.tuples(st.sampled_from([3, 5, 7, 9, 11]), st.booleans()), max_size=3).map(FormalKnot)
+
+
+@st.composite
+def mutated_plans(draw):
+    """A valid detour plan, then at most one change to its detoured path,
+    its detour parameter, its path or its forbidden set."""
+    path = draw(st.lists(knot_pool, min_size=1, max_size=5))
+    forbidden = [f for f in draw(st.lists(knot_pool, max_size=4)) if f not in (path[0], path[-1])]
+    plan = build_detour(path, forbidden)
+    dp, path, forbidden = list(plan.detoured_path), list(plan.path), list(plan.forbidden)
+    i = draw(st.integers(0, len(dp) - 1))
+    kind = draw(st.sampled_from(["keep", "drop", "insert", "replace", "p", "path", "forbid"]))
+    if kind == "drop":
+        del dp[i]
+    elif kind == "insert":
+        dp.insert(i, draw(knot_pool))
+    elif kind == "replace":
+        dp[i] = draw(knot_pool)
+    elif kind == "path":
+        path[i % len(path)] = draw(knot_pool)
+    elif kind == "forbid":
+        forbidden.append(dp[i])
+    p = draw(st.integers(1, 60).map(lambda n: 2 * n + 1)) if kind == "p" else plan.detour_p
+    return DetourPlan(tuple(forbidden), tuple(path), p, tuple(dp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_plans())
+def test_verify_detour_matches_the_move_by_move_reference(plan):
+    """Equal verdicts; a plan that rebuilds gets the reference's report, one
+    that does not gets a single failure and no moves."""
+    report, reference = verify_detour(plan), reference_verify_detour(plan)
+    assert report.ok == reference.ok
+    assert report == reference or (report.moves, len(report.failures)) == ((), 1)
 
 
 def test_distinctness_certificates():

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from mpmath import iv
 
 from gordian.errors import DomainError
+from gordian import sturm
 from gordian.laurent import (
     HalfLaurent,
     LaurentPoly,
     ONE,
+    basis_element,
     format_poly,
     from_basis,
     is_normalized,
@@ -243,6 +245,48 @@ def test_basis_round_trips():
         assert is_normalized(d)
 
 
+def reference_to_basis(d):
+    """Elimination from the top exponent down, the to_basis before the
+    three-term recurrence: B_i is the only basis element reaching t^(i+1)."""
+    assert is_normalized(d)
+    coeffs = {}
+    r = d - ONE
+    while not r.is_zero():
+        n = r.degree()
+        assert n >= 1
+        coeffs[n - 1] = -r.coeff(n)
+        r = r - basis_element(n - 1) * coeffs[n - 1]
+    if not coeffs:
+        return ()
+    return tuple(sturm.trim([coeffs.get(i, 0) for i in range(max(coeffs) + 1)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=40))
+def test_to_basis_matches_the_elimination_reference(a):
+    d = from_basis(a)
+    assert to_basis(d) == reference_to_basis(d)
+
+
+@st.composite
+def wide_sparse_normalized(draw):
+    """Symmetric polynomials with a few exponents up to 300 and the constant
+    fixed so that d(1) = 1."""
+    half = draw(st.dictionaries(st.integers(1, 300), st.integers(-5, 5).filter(bool), max_size=4))
+    terms = {0: 1 - 2 * sum(half.values())}
+    for e, c in half.items():
+        terms[e] = terms[-e] = c
+    return LaurentPoly(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_sparse_normalized())
+@example(parse_poly("t^-300+t^300-1"))
+def test_to_basis_matches_the_elimination_reference_on_wide_sparse_polynomials(d):
+    assert to_basis(d) == reference_to_basis(d)
+    assert from_basis(to_basis(d)) == d
+
+
 # ---------------------------------------------------------------------------
 # linking form and symmetrization
 
@@ -270,6 +314,62 @@ def test_symmetrized_linking_form_is_basis_expansion():
     for _ in range(300):
         a = [rng.randrange(-10, 11) for _ in range(rng.randrange(10))]
         assert symmetrize(linking_form(a)) == from_basis(a)
+
+
+def reference_linking_form(a):
+    """The accumulating linking_form before it summed through HalfLaurent."""
+    acc = {0: Fraction(1, 2)}
+
+    def add(e, c):
+        acc[e] = acc.get(e, Fraction(0)) + c
+
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        if i == 0:
+            add(0, Fraction(ai))
+            add(1, Fraction(-ai))
+        else:
+            add(i, Fraction(ai))
+            add(-i, Fraction(ai))
+            add(i + 1, Fraction(-ai))
+            add(1 - i, Fraction(-ai))
+    return HalfLaurent(acc)
+
+
+def reference_symmetrize(f):
+    """The accumulating symmetrize, returning None where it raised DomainError."""
+    acc = {}
+    for e, c in f.terms:
+        acc[e] = acc.get(e, Fraction(0)) + c
+        acc[-e] = acc.get(-e, Fraction(0)) + c
+    if any(c.denominator != 1 for c in acc.values()):
+        return None
+    return LaurentPoly({e: int(c) for e, c in acc.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10, 10), max_size=12))
+def test_linking_form_matches_the_accumulating_reference(a):
+    assert linking_form(a) == reference_linking_form(a)
+
+
+half_laurents = st.dictionaries(
+    st.integers(-8, 8), st.integers(-12, 12).map(lambda n: Fraction(n, 2)), max_size=8
+).map(HalfLaurent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(half_laurents)
+@example(HalfLaurent({1: Fraction(1, 2)}))
+@example(HalfLaurent({1: Fraction(1, 2), -1: Fraction(1, 2)}))
+def test_symmetrize_matches_the_accumulating_reference(f):
+    expected = reference_symmetrize(f)
+    if expected is None:
+        with pytest.raises(DomainError, match="non-integer coefficient"):
+            symmetrize(f)
+    else:
+        assert symmetrize(f) == expected
 
 
 def test_half_laurent_rejects_other_denominators():

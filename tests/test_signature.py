@@ -145,13 +145,13 @@ def test_signature_figure_example():
     assert isinstance(b1, AlgebraicAngle) and b1.upper
     assert sf.values == (2, 0)
     # breakpoints sit at theta* and 1 - theta* with 2cos(2 pi theta*) = (3-sqrt5)/2
-    mp.dps = 40
-    x_star = (3 - mpf(5) ** mpf("0.5")) / 2
-    assert mpf(b0.lo.numerator) / b0.lo.denominator < x_star < mpf(b0.hi.numerator) / b0.hi.denominator
-    # the mirror pair bounds theta = 0.2196... from both sides
-    assert angle_cmp(b0, F(1, 6)) == 1 and angle_cmp(b0, F(1, 4)) == -1
-    assert angle_cmp(b1, F(3, 4)) == 1 and angle_cmp(b1, F(5, 6)) == -1
-    assert sf.value_at(F(1, 2)) == 2 and sf.value_at(F(0)) == 0
+    with mp.workdps(40):
+        x_star = (3 - mpf(5) ** mpf("0.5")) / 2
+        assert mpf(b0.lo.numerator) / b0.lo.denominator < x_star < mpf(b0.hi.numerator) / b0.hi.denominator
+        # the mirror pair bounds theta = 0.2196... from both sides
+        assert angle_cmp(b0, F(1, 6)) == 1 and angle_cmp(b0, F(1, 4)) == -1
+        assert angle_cmp(b1, F(3, 4)) == 1 and angle_cmp(b1, F(5, 6)) == -1
+        assert sf.value_at(F(1, 2)) == 2 and sf.value_at(F(0)) == 0
 
 
 def test_algebraic_angle_equality_with_rational():
@@ -196,30 +196,30 @@ def test_sup_distance_between_general_signatures():
 def test_angle_order_matches_numeric_values():
     from mpmath import acos
 
-    mp.dps = 40
-    rng = random.Random(83)
-    angles = [F(k, 64) for k in range(0, 64, 7)]
-    for d in (FIG3, parse_poly("2t^-2-3t^-1+3-3t+2t^2")):
-        angles.extend(signature_of_poly(d).breakpoints)
+    with mp.workdps(40):
+        rng = random.Random(83)
+        angles = [F(k, 64) for k in range(0, 64, 7)]
+        for d in (FIG3, parse_poly("2t^-2-3t^-1+3-3t+2t^2")):
+            angles.extend(signature_of_poly(d).breakpoints)
 
-    def numeric(a):
-        if isinstance(a, AlgebraicAngle):
-            fine = a
-            for _ in range(20):
-                fine = fine.refined()
-            x = (mpf(fine.lo.numerator) / fine.lo.denominator + mpf(fine.hi.numerator) / fine.hi.denominator) / 2
-            t = acos(x / 2) / (2 * pi)
-            return float(1 - t if a.upper else t)
-        return float(a)
+        def numeric(a):
+            if isinstance(a, AlgebraicAngle):
+                fine = a
+                for _ in range(20):
+                    fine = fine.refined()
+                x = (mpf(fine.lo.numerator) / fine.lo.denominator + mpf(fine.hi.numerator) / fine.hi.denominator) / 2
+                t = acos(x / 2) / (2 * pi)
+                return float(1 - t if a.upper else t)
+            return float(a)
 
-    shuffled = angles[:]
-    rng.shuffle(shuffled)
-    import functools
-    from gordian.signature import angle_cmp as cmp_fn
+        shuffled = angles[:]
+        rng.shuffle(shuffled)
+        import functools
+        from gordian.signature import angle_cmp as cmp_fn
 
-    ordered = sorted(shuffled, key=functools.cmp_to_key(cmp_fn))
-    nums = [numeric(a) for a in ordered]
-    assert all(x <= y + 1e-9 for x, y in zip(nums, nums[1:]))
+        ordered = sorted(shuffled, key=functools.cmp_to_key(cmp_fn))
+        nums = [numeric(a) for a in ordered]
+        assert all(x <= y + 1e-9 for x, y in zip(nums, nums[1:]))
 
 
 def test_cos_reference_isolation_brackets_true_values():
@@ -240,23 +240,23 @@ def test_signature_general_path_matches_sign_oracle():
     from gordian.laurent import from_basis, to_chebyshev
 
     rng = random.Random(41)
-    mp.dps = 50
-    for _ in range(20):
-        a = [rng.randrange(-3, 4) for _ in range(rng.randrange(1, 4))]
-        d = from_basis(a)
-        try:
-            s = signature_of_poly(d)
-        except NonSimpleRootError:
-            continue
-        q = to_chebyshev(d)
-        for _ in range(25):
-            theta = F(rng.randrange(1, 512), 512)
-            x = 2 * cos(2 * pi * mpf(theta.numerator) / theta.denominator)
-            y = sum(c * x**i for i, c in enumerate(q))
-            if abs(y) < mpf("1e-30"):
+    with mp.workdps(50):
+        for _ in range(20):
+            a = [rng.randrange(-3, 4) for _ in range(rng.randrange(1, 4))]
+            d = from_basis(a)
+            try:
+                s = signature_of_poly(d)
+            except NonSimpleRootError:
                 continue
-            expected = 1 - (1 if y > 0 else -1)
-            assert s.value_at(theta) == expected, (str(d), theta)
+            q = to_chebyshev(d)
+            for _ in range(25):
+                theta = F(rng.randrange(1, 512), 512)
+                x = 2 * cos(2 * pi * mpf(theta.numerator) / theta.denominator)
+                y = sum(c * x**i for i, c in enumerate(q))
+                if abs(y) < mpf("1e-30"):
+                    continue
+                expected = 1 - (1 if y > 0 else -1)
+                assert s.value_at(theta) == expected, (str(d), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +285,18 @@ def test_isolation_counts_for_torus():
 
 
 def test_isolation_brackets_known_roots():
-    mp.dps = 50
-    for p in (3, 5, 15, 105):
-        iso = isolate_circle_roots(torus_poly(p)).refined(F(1, 10**6))
-        # descending x-intervals correspond to ascending angles (2k+1)/(2p)
-        angles = [F(2 * k + 1, 2 * p) for k in range((p - 1) // 2)]
-        for (lo, hi), theta in zip(reversed(iso.intervals), angles):
-            x = 2 * cos(2 * pi * mpf(theta.numerator) / theta.denominator)
-            assert mpf(lo.numerator) / lo.denominator < x < mpf(hi.numerator) / hi.denominator
-            # sign change across the interval certifies the bracket
-            from gordian import sturm
+    with mp.workdps(50):
+        for p in (3, 5, 15, 105):
+            iso = isolate_circle_roots(torus_poly(p)).refined(F(1, 10**6))
+            # descending x-intervals correspond to ascending angles (2k+1)/(2p)
+            angles = [F(2 * k + 1, 2 * p) for k in range((p - 1) // 2)]
+            for (lo, hi), theta in zip(reversed(iso.intervals), angles):
+                x = 2 * cos(2 * pi * mpf(theta.numerator) / theta.denominator)
+                assert mpf(lo.numerator) / lo.denominator < x < mpf(hi.numerator) / hi.denominator
+                # sign change across the interval certifies the bracket
+                from gordian import sturm
 
-            assert (sturm.peval(iso.poly, lo) > 0) != (sturm.peval(iso.poly, hi) > 0)
+                assert (sturm.peval(iso.poly, lo) > 0) != (sturm.peval(iso.poly, hi) > 0)
 
 
 def test_isolation_figure_polynomial_one_pair():
@@ -390,12 +390,12 @@ def test_min_root_gap_general_is_certified_lower_bound():
     assert not gap.exact
     assert gap.value > 0
     # true minimal gap is 2 theta* = 0.43902...
-    mp.dps = 30
-    x_star = (3 - mpf(5) ** mpf("0.5")) / 2
-    from mpmath import acos
+    with mp.workdps(30):
+        x_star = (3 - mpf(5) ** mpf("0.5")) / 2
+        from mpmath import acos
 
-    true_gap = 2 * acos(x_star / 2) / (2 * pi)
-    assert mpf(gap.value.numerator) / gap.value.denominator < true_gap
+        true_gap = 2 * acos(x_star / 2) / (2 * pi)
+        assert mpf(gap.value.numerator) / gap.value.denominator < true_gap
 
 
 # ---------------------------------------------------------------------------
