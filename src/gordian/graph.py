@@ -175,27 +175,18 @@ class IsometryCertificate:
 def certify_pair(x: Iterable[int], y: Iterable[int], valency: int | None = 2) -> IsometryCertificate:
     """Build the distance certificate for a pair of tree vertices.
 
-    The witness turn is requested to lie inside the sign arcs of the
-    generators above the meet: unmirrored x-side generators inside their arc
-    set, mirrored x-side outside, and the reverse pattern on the y side, so
-    every x-side edge raises the signature difference by 2 and every y-side
-    edge lowers it by 2.  Generators below the meet are shared by both knots
-    and cancel, so they are excluded from the witness request.
+    The witness turn is requested where D_p is negative for each net
+    coefficient c_p > 0 of knots.net_coefficients and positive for each
+    c_p < 0, so every x-side edge raises the signature difference by 2 and
+    every y-side edge lowers it by 2.  Generators below the meet are shared
+    by both knots and cancel in c_p, so they are not part of the request.
     """
     x, y = tuple(x), tuple(y)
-    kx, ky = phi(x, valency), phi(y, valency)
-    shared = set(phi(meet(x, y), valency))
-    wanted = sorted(
-        (g.p, side if g.mirrored else -side)
-        for knot, side in ((kx, 1), (ky, -1))
-        for g in knot
-        if g not in shared
-    )
+    net = knots.net_coefficients(phi(x, valency), phi(y, valency))
     theta = Fraction(0)
-    if wanted:
-        ps = [p for p, _ in wanted]
-        signs = [s for _, s in wanted]
-        theta = circle.independence_witness(ps, signs)
+    if net:
+        ps = sorted(net)
+        theta = circle.independence_witness(ps, [-1 if net[p] > 0 else 1 for p in ps])
     return _certificate(x, y, theta, valency)
 
 
@@ -335,7 +326,7 @@ def distinctness_certificate(k1: FormalKnot, k2: FormalKnot) -> dict | None:
             cert["factors_1"] = {decimal(p): c for p, c in sorted(m1.items())}
             cert["factors_2"] = {decimal(p): c for p, c in sorted(m2.items())}
         return cert
-    theta = Fraction(1, 2 * max(knots.signed_multiplicities(k1 + k2.mirror())) - 1)
+    theta = Fraction(1, 2 * max(knots.net_coefficients(k1, k2)) - 1)
     return {
         "kind": "signature",
         "theta": decimal(theta),
@@ -369,12 +360,17 @@ def verify_detour(plan: DetourPlan) -> DetourReport:
     """Check a detour plan: its path is nonempty and rebuilds with detour_p to
     exactly its detoured path, and every interior entry is certified distinct
     from every forbidden knot.  A plan that does not rebuild gets one failure,
-    naming the first differing entry or the length.
+    naming the first differing entry, the length or a detour_p that is no
+    generator parameter.
 
     Adjacency of the original path entries is an axiom of the formal model,
     as is adjacency under a single connected sum with a gordian generator.
     """
-    dp, rebuilt = plan.detoured_path, _detoured(plan.path, plan.detour_p)
+    try:
+        rebuilt = _detoured(plan.path, plan.detour_p)
+    except DomainError as exc:
+        return DetourReport(False, (), (), (f"detoured path cannot be rebuilt: {exc}",))
+    dp = plan.detoured_path
     if not plan.path or dp != rebuilt:
         at = next((i for i, (a, b) in enumerate(zip(dp, rebuilt)) if a != b), None)
         what = (

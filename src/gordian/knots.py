@@ -146,12 +146,20 @@ def p_sequence(n: int) -> int:
     return _P_CACHE[n - 1]
 
 
+def net_coefficients(k1: FormalKnot, k2: FormalKnot) -> dict[int, int]:
+    """Net coefficient c_p of each p, zeros dropped: copies of K_p in k1 and of
+    mirror(K_p) in k2, minus copies of mirror(K_p) in k1 and of K_p in k2.
+    sigma_k1 - sigma_k2 = sum c_p (1 - Sign D_p), so shared generators cancel."""
+    out: dict[int, int] = {}
+    for knot, side in ((k1, 1), (k2, -1)):
+        for g in knot.generators:
+            out[g.p] = out.get(g.p, 0) + (-side if g.mirrored else side)
+    return {p: c for p, c in out.items() if c}
+
+
 def signed_multiplicities(k: FormalKnot) -> dict[int, int]:
     """Net coefficient of each p: unmirrored copies minus mirrored copies."""
-    out: dict[int, int] = {}
-    for g in k.generators:
-        out[g.p] = out.get(g.p, 0) + (-1 if g.mirrored else 1)
-    return {p: c for p, c in out.items() if c}
+    return net_coefficients(k, UNKNOT)
 
 
 def multiplicities(k: FormalKnot) -> dict[int, int]:
@@ -176,18 +184,14 @@ def alexander(k: FormalKnot) -> LaurentPoly:
 def sup_signature_difference(k1: FormalKnot, k2: FormalKnot) -> tuple[int, Fraction | None]:
     """Exact sup over the circle of |sigma_k1 - sigma_k2| with a witness turn.
 
-    Generators shared with equal net sign cancel and are dropped.  With c_p
-    the remaining net coefficients, the difference is sum c_p (1 - Sign D_p):
+    With c_p from net_coefficients, the difference is sum c_p (1 - Sign D_p):
     0 on the arc through turn 0, where every D_p is positive, and moved by
     +2 c_p or -2 c_p, alternately, at each breakpoint of p.  Its value at a
     breakpoint is the average of the adjacent arc values, so one sweep over
     the merged breakpoint grid attains the sup; the witness is the midpoint
     of the first arc that reaches it.
     """
-    diff: dict[int, int] = signed_multiplicities(k1)
-    for p, c in signed_multiplicities(k2).items():
-        diff[p] = diff.get(p, 0) - c
-    jump = {p: 2 * c for p, c in diff.items() if c}
+    jump = {p: 2 * c for p, c in net_coefficients(k1, k2).items()}
     if not jump:
         return 0, None
     n, grid = circle.breakpoint_grid(jump)

@@ -189,23 +189,15 @@ def _check_odd_p(p) -> None:
         raise DomainError(f"p must be at least 3, got {describe(p)}")
 
 
-def basis_element(i: int) -> LaurentPoly:
-    """(t^i + t^-i)(2 - t - 1/t) for i >= 1, and 2 - t - 1/t for i = 0."""
-    if i < 0:
-        raise ValueError("basis index must be nonnegative")
-    kernel = LaurentPoly({0: 2, 1: -1, -1: -1})
-    if i == 0:
-        return kernel
-    return LaurentPoly({i: 1, -i: 1}) * kernel
-
-
 def from_basis(a: Iterable[int]) -> LaurentPoly:
-    """Expand 1 + a_0 B_0 + sum a_i B_i over the basis elements B_i."""
-    out = ONE
-    for i, ai in enumerate(a):
-        if ai:
-            out = out + basis_element(i) * ai
-    return out
+    """Expand 1 + a_0 B_0 + sum a_i B_i, B_0 = 2 - t - 1/t and B_i =
+    (t^i + t^-i) B_0, in one pass: t^0 has coefficient 1 + 2 a_0 - 2 a_1,
+    and t^e and t^-e, e >= 1, have 2 a_e - a_(e-1) - a_(e+1)."""
+    a = [*a, 0, 0]
+    coeffs = {0: 1 + 2 * a[0] - 2 * a[1]}
+    for e in range(1, len(a) - 1):
+        coeffs[e] = coeffs[-e] = 2 * a[e] - a[e - 1] - a[e + 1]
+    return LaurentPoly(coeffs)
 
 
 def to_basis(d: LaurentPoly) -> BasisCoeffs:
@@ -315,17 +307,16 @@ def torus_factorization(d: LaurentPoly) -> tuple[int, ...] | None:
     return tuple(sorted(found))
 
 
-_TERM_RE = re.compile(
-    r"(?P<sign>[+-])?\s*"
-    r"(?:"
-    r"(?P<coeff>\d+)\s*\*?\s*(?P<var_after_coeff>t(?:\^(?P<exp1>-?\d+))?)?"
-    r"|(?P<var>t(?:\^(?P<exp2>-?\d+))?)"
-    r")\s*"
-)
+_TERM_RE = re.compile(r"([+-]?)\s*(?:(\d+)\s*\*?\s*|(?=t))(t(?:\^(-?\d+))?)?\s*")
 
 
 def parse_poly(text: str) -> LaurentPoly:
-    """Parse the +/- joined `c*t^e` text form, e.g. '-t^-2+3t^-1-3+3t-t^2'."""
+    """Parse the +/- joined `c*t^e` text form, e.g. '-t^-2+3t^-1-3+3t-t^2'.
+
+    A term is an optional sign, then digits with an optional * and an optional
+    t or t^e, or else t or t^e alone.  A span (degree - valuation) above the
+    materialization guard is refused, so that no later conversion pays for it.
+    """
     s = text.strip()
     if not s:
         raise DomainError("empty polynomial text")
@@ -333,26 +324,20 @@ def parse_poly(text: str) -> LaurentPoly:
     terms: list[tuple[int, int]] = []
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
+        if not m:
             raise DomainError(f"cannot parse polynomial text {text!r} at position {pos}")
-        sign = m.group("sign")
-        if sign is None and terms:
+        sign, coeff, var, exp = m.groups()
+        if not sign and terms:
             raise DomainError(f"missing +/- between terms in {text!r}")
-        coeff_txt = m.group("coeff")
-        var = m.group("var_after_coeff") or m.group("var")
-        if coeff_txt is None and var is None:
-            raise DomainError(f"cannot parse polynomial text {text!r} at position {pos}")
-        coeff = int(coeff_txt) if coeff_txt is not None else 1
-        exp_txt = m.group("exp1") or m.group("exp2")
-        if var is None:
-            exponent = 0
-        elif exp_txt is None:
-            exponent = 1
-        else:
-            exponent = int(exp_txt)
-        terms.append((exponent, -coeff if sign == "-" else coeff))
+        c = 1 if coeff is None else int(coeff)
+        e = 0 if var is None else 1 if exp is None else int(exp)
+        terms.append((e, -c if sign == "-" else c))
         pos = m.end()
-    return LaurentPoly(terms)
+    d = LaurentPoly(terms)
+    span = d.degree() - d.valuation() if d.terms else 0
+    if span > materialization_limit():
+        raise guard_error(f"polynomial span {describe(span)}")
+    return d
 
 
 def format_poly(d, var: str = "t") -> str:

@@ -74,6 +74,15 @@ def test_arcs_past_the_materialization_guard_names_the_override(capsys, monkeypa
     assert doc["error"].endswith("; raise GORDIAN_MAX_P to override")
 
 
+def test_poly_basis_of_a_span_past_the_guard_is_an_error_document(capsys, monkeypatch):
+    monkeypatch.delenv("GORDIAN_MAX_P", raising=False)
+    code, doc = run(capsys, "poly", "basis", "--poly", "t^-10000000+t^10000000-1")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["error"] == (
+        "polynomial span 20000000 exceeds the materialization guard (1000000); raise GORDIAN_MAX_P to override"
+    )
+
+
 def test_sign_at(capsys):
     _, doc = run(capsys, "sign-at", "--p", "3", "--theta", "2/5")
     assert doc["payload"]["sign"] == -1

@@ -259,6 +259,37 @@ def test_witness_requests_match_the_edge_derived_ones(monkeypatch):
         assert verify_certificate(cert, valency=None)
 
 
+def reference_witness_turn(x, y, valency):
+    """The witness turn of certify_pair before net_coefficients: requested
+    from the generators of phi(x) and phi(y) outside phi(meet(x, y)), each
+    signed by its side and whether it is mirrored."""
+    kx, ky = phi(x, valency), phi(y, valency)
+    shared = set(phi(meet(x, y), valency))
+    wanted = sorted(
+        (g.p, side if g.mirrored else -side)
+        for knot, side in ((kx, 1), (ky, -1))
+        for g in knot
+        if g not in shared
+    )
+    if not wanted:
+        return Fraction(0)
+    return circle.independence_witness([p for p, _ in wanted], [s for _, s in wanted])
+
+
+def test_certificates_match_the_shared_set_request():
+    """Every certificate of certify_all(4), and of the valency=None pairs
+    above, is the one the shared-set request gives: same witness turn, and
+    every other field rebuilt from it by verify_certificate."""
+    for cert in certify_all(4):
+        assert cert.theta == reference_witness_turn(cert.x, cert.y, 2)
+        assert verify_certificate(cert)
+    vs = [v for d in range(6) for v in itertools.product(range(5), repeat=d) if d + sum(v) <= 5]
+    for x, y in [((3,), (7, 2)), *itertools.combinations(vs, 2)]:
+        cert = certify_pair(x, y, valency=None)
+        assert cert.theta == reference_witness_turn(x, y, None)
+        assert verify_certificate(cert, valency=None)
+
+
 def test_certificates_evaluate_signs_with_the_integer_kernel(monkeypatch):
     """Signatures at a witness convert the turn once per knot and then run
     circle.sign_at_turn on each generator, never generator_sign_at."""
@@ -422,6 +453,21 @@ def test_verify_detour_names_a_huge_detour_parameter_without_raising():
     huge = dataclasses.replace(TWO_STEP, detour_p=p_sequence(3000))
     (failure,) = verify_detour(huge).failures
     assert failure.endswith(f"p = a number of {p_sequence(3000).bit_length()} bits: first at entry 1")
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (4, "p must be odd, got 4"),
+        (1, "p must be at least 3, got 1"),
+        (-3, "p must be at least 3, got -3"),
+        (2 * p_sequence(3000), f"p must be odd, got a number of {(2 * p_sequence(3000)).bit_length()} bits"),
+    ],
+    ids=["even", "one", "negative", "even past the digit limit"],
+)
+def test_verify_detour_reports_a_detour_parameter_that_is_no_generator(p, message):
+    report = verify_detour(dataclasses.replace(TWO_STEP, detour_p=p))
+    assert report == DetourReport(False, (), (), (f"detoured path cannot be rebuilt: {message}",))
 
 
 knot_pool = st.lists(st.tuples(st.sampled_from([3, 5, 7, 9, 11]), st.booleans()), max_size=3).map(FormalKnot)

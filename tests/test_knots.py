@@ -16,6 +16,7 @@ from gordian.knots import (
     generator_knot,
     mirror,
     multiplicities,
+    net_coefficients,
     p_sequence,
     root_gap,
     signed_multiplicities,
@@ -112,6 +113,18 @@ def test_multiset_keeps_multiplicity():
     assert multiplicities(k) == {3: 2}
     assert signed_multiplicities(k) == {3: 2}
     assert signed_multiplicities(generator_knot(3) + generator_knot(3, True)) == {}
+
+
+def test_net_coefficients_are_the_signed_multiplicities_of_k1_and_mirrored_k2():
+    rng = random.Random(73)
+    for _ in range(300):
+        k1, k2 = random_knot(rng), random_knot(rng)
+        assert net_coefficients(k1, k2) == signed_multiplicities(k1 + k2.mirror())
+        assert net_coefficients(k1, UNKNOT) == signed_multiplicities(k1)
+        assert net_coefficients(k1, k2) == {p: -c for p, c in net_coefficients(k2, k1).items()}
+    k = generator_knot(3) + generator_knot(5, True)
+    assert net_coefficients(k, k) == {}
+    assert net_coefficients(k, generator_knot(5)) == {3: 1, 5: -2}
 
 
 def test_serialization_round_trip():

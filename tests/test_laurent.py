@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 from mpmath import iv
 
 from gordian.errors import DomainError
+from gordian.errors import MaterializationLimitError
 from gordian import sturm
+from gordian.limits import guard_error, materialization_limit
 from gordian.laurent import (
     HalfLaurent,
     LaurentPoly,
     ONE,
-    basis_element,
     format_poly,
     from_basis,
     is_normalized,
@@ -144,6 +146,89 @@ def test_parse_rejects_garbage():
             parse_poly(bad)
 
 
+_REFERENCE_TERM_RE = re.compile(
+    r"(?P<sign>[+-])?\s*"
+    r"(?:"
+    r"(?P<coeff>\d+)\s*\*?\s*(?P<var_after_coeff>t(?:\^(?P<exp1>-?\d+))?)?"
+    r"|(?P<var>t(?:\^(?P<exp2>-?\d+))?)"
+    r")\s*"
+)
+
+
+def reference_parse_poly(text):
+    """The parse_poly before the one term pattern: two named-group branches
+    for a term with and without digits, and no span check."""
+    s = text.strip()
+    if not s:
+        raise DomainError("empty polynomial text")
+    pos = 0
+    terms = []
+    while pos < len(s):
+        m = _REFERENCE_TERM_RE.match(s, pos)
+        if not m or m.end() == pos:
+            raise DomainError(f"cannot parse polynomial text {text!r} at position {pos}")
+        sign = m.group("sign")
+        if sign is None and terms:
+            raise DomainError(f"missing +/- between terms in {text!r}")
+        coeff_txt = m.group("coeff")
+        var = m.group("var_after_coeff") or m.group("var")
+        if coeff_txt is None and var is None:
+            raise DomainError(f"cannot parse polynomial text {text!r} at position {pos}")
+        coeff = int(coeff_txt) if coeff_txt is not None else 1
+        exp_txt = m.group("exp1") or m.group("exp2")
+        if var is None:
+            exponent = 0
+        elif exp_txt is None:
+            exponent = 1
+        else:
+            exponent = int(exp_txt)
+        terms.append((exponent, -coeff if sign == "-" else coeff))
+        pos = m.end()
+    return LaurentPoly(terms)
+
+
+def parse_outcome(parse, text):
+    """The polynomial parse(text) returns, or the text of the DomainError it raises."""
+    try:
+        return parse(text)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="t^+-*0123456789 \t", max_size=13))
+@example("3*")
+@example("*t")
+@example("t 2")
+@example("1++1")
+@example("+ -t")
+@example("t^")
+@example("2t^29552453-7")
+@example(" -12 * t^-3 +t\t- 4")
+def test_parse_matches_the_two_branch_reference(text):
+    """Equal polynomials or equal error texts; the reference has no span
+    check, so where its polynomial is wider than the guard, parse_poly gives
+    the guard's refusal instead."""
+    expected = parse_outcome(reference_parse_poly, text)
+    if isinstance(expected, LaurentPoly) and expected.terms:
+        span = expected.degree() - expected.valuation()
+        if span > materialization_limit():
+            expected = str(guard_error(f"polynomial span {span}"))
+    assert parse_outcome(parse_poly, text) == expected
+
+
+def test_parse_refuses_a_span_above_the_guard(monkeypatch):
+    monkeypatch.delenv("GORDIAN_MAX_P", raising=False)
+    with pytest.raises(MaterializationLimitError, match="polynomial span 20000000 exceeds .*GORDIAN_MAX_P"):
+        parse_poly("t^-10000000+t^10000000-1")
+    # the span is that of the parsed polynomial, after equal exponents are summed
+    assert parse_poly("t^10000000-t^10000000+1") == ONE
+    monkeypatch.setenv("GORDIAN_MAX_P", "10")
+    assert parse_poly("t^-5+t^5-1").terms == ((-5, 1), (0, -1), (5, 1))
+    with pytest.raises(MaterializationLimitError, match="polynomial span 11 "):
+        parse_poly("t^-5+t^6-1")
+
+
 def test_text_round_trip_random():
     rng = random.Random(7)
     for _ in range(200):
@@ -243,6 +328,36 @@ def test_basis_round_trips():
         assert to_basis(d) == tuple(a)
         assert from_basis(to_basis(d)) == d
         assert is_normalized(d)
+
+
+def basis_element(i: int) -> LaurentPoly:
+    """(t^i + t^-i)(2 - t - 1/t) for i >= 1, and 2 - t - 1/t for i = 0."""
+    if i < 0:
+        raise ValueError("basis index must be nonnegative")
+    kernel = LaurentPoly({0: 2, 1: -1, -1: -1})
+    if i == 0:
+        return kernel
+    return LaurentPoly({i: 1, -i: 1}) * kernel
+
+
+def reference_from_basis(a):
+    """The from_basis before the one-pass coefficient formula: a sum of
+    LaurentPoly products, one basis element at a time."""
+    out = ONE
+    for i, ai in enumerate(a):
+        if ai:
+            out = out + basis_element(i) * ai
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=40))
+@example([])
+@example([0])
+@example([3])
+@example([0, 0, -2])
+def test_from_basis_matches_the_product_reference(a):
+    assert from_basis(a) == reference_from_basis(a)
 
 
 def reference_to_basis(d):
