@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from . import sturm
 from .errors import DomainError
-from .limits import describe, guard_error, materialization_limit
+from .limits import describe, digit_limit_error, guard_error, materialization_limit
 
 BasisCoeffs = tuple[int, ...]
 
@@ -288,7 +288,7 @@ def torus_factorization(d: LaurentPoly) -> tuple[int, ...] | None:
     if d == ONE:
         return ()
     # d's top coefficient leads to_chebyshev(d); every product of D_p has 1 there.
-    if not is_normalized(d) or d.terms[-1][1] != 1:
+    if not d.terms or d.terms[-1][1] != 1 or not is_normalized(d):
         return None
     q = to_chebyshev(d)
     found: list[int] = []
@@ -315,7 +315,8 @@ def parse_poly(text: str) -> LaurentPoly:
 
     A term is an optional sign, then digits with an optional * and an optional
     t or t^e, or else t or t^e alone.  A span (degree - valuation) above the
-    materialization guard is refused, so that no later conversion pays for it.
+    materialization guard is refused, so that no later conversion pays for it,
+    and so is a number past Python's digit limit (see limits.digit_limit_error).
     """
     s = text.strip()
     if not s:
@@ -329,8 +330,11 @@ def parse_poly(text: str) -> LaurentPoly:
         sign, coeff, var, exp = m.groups()
         if not sign and terms:
             raise DomainError(f"missing +/- between terms in {text!r}")
-        c = 1 if coeff is None else int(coeff)
-        e = 0 if var is None else 1 if exp is None else int(exp)
+        try:
+            c = 1 if coeff is None else int(coeff)
+            e = 0 if var is None else 1 if exp is None else int(exp)
+        except ValueError:  # the only one int raises on a digit string
+            raise digit_limit_error(f"a number in the term at position {pos}") from None
         terms.append((e, -c if sign == "-" else c))
         pos = m.end()
     d = LaurentPoly(terms)

@@ -46,14 +46,17 @@ def describe(value) -> str:
         return f"a number of {max(abs(value.numerator), value.denominator).bit_length()} bits"
 
 
+def digit_limit_error(what: str) -> MaterializationLimitError:
+    """The refusal of `what`, past Python's digit limit, naming Python's own override."""
+    return MaterializationLimitError(
+        f"{what} exceeds Python's limit of {sys.get_int_max_str_digits()} digits "
+        "for integer string conversion; set PYTHONINTMAXSTRDIGITS=0 to override"
+    )
+
+
 def decimal(value) -> str:
-    """describe(value), except that a value past Python's digit limit raises
-    MaterializationLimitError naming PYTHONINTMAXSTRDIGITS, Python's own
-    override, instead of a bare ValueError."""
+    """describe(value), raising digit_limit_error instead past Python's digit limit."""
     text = describe(value)
     if text.startswith("a number of "):
-        raise MaterializationLimitError(
-            f"{text} exceeds Python's limit of {sys.get_int_max_str_digits()} digits "
-            "for integer string conversion; set PYTHONINTMAXSTRDIGITS=0 to override"
-        )
+        raise digit_limit_error(text)
     return text

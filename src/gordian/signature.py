@@ -95,14 +95,7 @@ def _cos_bounds(r: Fraction, w: int) -> tuple[Fraction, Fraction]:
     |cos'| <= 1, C misses d cos(2 pi r) by less than E = 6K + e + 1 < 2^24.
     """
     d = 1 << (w + 26)
-    P = e = 0
-    for x, k in ((5, 16), (239, -4)):
-        u, j = d // x, 0
-        while u:
-            P += k * (-1) ** j * (u // (2 * j + 1))
-            u //= x * x
-            j += 1
-        e += abs(k) * (j + 1)
+    P, e = _machin_pi(d)
     X = 2 * r.numerator * P // r.denominator
     C = T = d
     K = 1
@@ -112,6 +105,20 @@ def _cos_bounds(r: Fraction, w: int) -> tuple[Fraction, Fraction]:
         K += 1
     E = 6 * K + e + 1
     return Fraction(2 * (C - E), d), Fraction(2 * (C + E), d)
+
+
+@functools.lru_cache(maxsize=8)  # _cos_bounds reaches w = 32, 64, ...
+def _machin_pi(d: int) -> tuple[int, int]:
+    """(P, e) of _cos_bounds at scale d: Machin's sum P for pi d and its error count e."""
+    P = e = 0
+    for x, k in ((5, 16), (239, -4)):
+        u, j = d // x, 0
+        while u:
+            P += k * (-1) ** j * (u // (2 * j + 1))
+            u //= x * x
+            j += 1
+        e += abs(k) * (j + 1)
+    return P, e
 
 
 def _cos_root_of(f: Sequence[int], n: int) -> bool:
@@ -177,11 +184,13 @@ def _cmp_x_intervals(p1, lo1, hi1, p2, lo2, hi2) -> int:
     roots never separate, so after _GCD_AFTER such midpoints they are equal
     iff gcd(p1, p2) has a root in (a, b) (Basu, Pollack & Roy, ch. 10).
     """
-    if hi1 <= lo2 or hi2 <= lo1:
-        return -1 if hi1 <= lo2 else 1
-    s1, s2 = sturm.psign(p1, lo1), sturm.psign(p2, lo2)
-    a, b = max(lo1, lo2), min(hi1, hi2)
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    l1, l1d, h1, h1d = lo1.numerator, lo1.denominator, hi1.numerator, hi1.denominator
+    l2, l2d, h2, h2d = lo2.numerator, lo2.denominator, hi2.numerator, hi2.denominator
+    if h1 * l2d <= l2 * h1d or h2 * l1d <= l1 * h2d:
+        return -1 if h1 * l2d <= l2 * h1d else 1
+    s1, s2 = sturm.sign_at(p1, l1, l1d), sturm.sign_at(p2, l2, l2d)
+    an, ad = (l1, l1d) if l2 * l1d <= l1 * l2d else (l2, l2d)
+    bn, bd = (h1, h1d) if h1 * h2d <= h2 * h1d else (h2, h2d)
     n, d = an, ad
     for step in itertools.count(-1):
         c1, c2 = s1 * sturm.sign_at(p1, n, d), s2 * sturm.sign_at(p2, n, d)
@@ -394,9 +403,10 @@ class RootIsolation:
 
     intervals are ascending disjoint rational intervals in [-2, 2], each
     containing exactly one root of poly; roots at x = +-2 appear as degenerate
-    (c, c) intervals.  sign_pattern[i] is the sign of poly on the open gap
-    below the i-th interval (the last entry is the gap up to 2); an empty gap
-    gets 0.  interior_poly drives refinement and omits the +-2 factors.
+    (c, c) intervals, first and last, and all others lie inside (-2, 2).
+    sign_pattern[i] is the sign of poly on the open gap below the i-th
+    interval (the last entry is the gap up to 2); an empty gap gets 0.
+    interior_poly drives refinement and omits the +-2 factors.
     """
 
     poly: tuple[int, ...]
@@ -406,25 +416,21 @@ class RootIsolation:
     sign_pattern: tuple[int, ...]
 
     def interior_intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(iv for iv in self.intervals if iv[0] != iv[1])
+        return self.intervals[self.root_at_half_turn() : len(self.intervals) - self.root_at_zero_turn()]
 
     def root_at_zero_turn(self) -> bool:
-        return any(iv == (2, 2) for iv in self.intervals)
+        return bool(self.intervals) and self.intervals[-1][0] == 2
 
     def root_at_half_turn(self) -> bool:
-        return any(iv == (-2, -2) for iv in self.intervals)
+        return bool(self.intervals) and self.intervals[0][1] == -2
 
     def circle_root_count(self) -> int:
         """Number of distinct roots on the circle: interior x-roots pair up."""
-        degenerate = sum(1 for iv in self.intervals if iv[0] == iv[1])
-        return 2 * (len(self.intervals) - degenerate) + degenerate
+        return 2 * len(self.intervals) - self.root_at_half_turn() - self.root_at_zero_turn()
 
     def refined(self, width: Fraction) -> "RootIsolation":
-        ivs = []
-        for lo, hi in self.intervals:
-            if lo != hi and hi - lo > width:
-                lo, hi = sturm.refine_root(self.interior_poly, lo, hi, width)
-            ivs.append((lo, hi))
+        poly = self.interior_poly
+        ivs = (sturm.refine_root(poly, lo, hi, width) if lo != hi else (lo, hi) for lo, hi in self.intervals)
         return dataclasses.replace(self, intervals=tuple(ivs))
 
     def payload(self) -> dict:
@@ -439,20 +445,14 @@ class RootIsolation:
 def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     """Sturm-sequence isolation of the roots of to_chebyshev(d) in [-2, 2].
 
-    This is the one place outside torus_factorization that converts d to
-    its Chebyshev form q and splits off q's square-free part, whose Sturm
-    chain comes from the same remainder sequence when q is square-free; the
-    result carries both, and the repeated part is their exact quotient.
+    The one place outside torus_factorization that converts d to its
+    Chebyshev form q and splits off q's square-free part (its Sturm chain
+    comes from the same remainder sequence); the repeated part is their
+    exact quotient.  Intervals stay integer ends until the result is built.
 
-    Cached on d for code that reads both invariants of one polynomial in one
-    process: signature_of_poly and min_root_gap both isolate d, so calling
-    one after the other on the same d (as the general benchmark workload
-    does) isolates it once.  The CLI runs each command in its own process
-    and gains nothing from the cache.  The result is frozen and refined
-    returns a copy, so sharing it is safe.  The cache holds 16 entries:
-    enough for such back-to-back calls, and small enough that the
-    isolations it keeps alive do not add to the peak memory of a long run
-    over many polynomials.
+    Cached on d, as signature_of_poly and min_root_gap both isolate d; the
+    result is frozen and refined returns a copy, so sharing it is safe, and
+    16 entries keep the peak memory of a run over many polynomials flat.
     """
     if d.is_zero():
         raise DomainError("cannot isolate roots of the zero polynomial")
@@ -462,50 +462,44 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
         return RootIsolation(q, q, q, (), (sign,))
     qt, chain = sturm.square_free_chain(q)
     interior = qt
-    degenerate: list[tuple[Fraction, Fraction]] = []
+    at_ends = []
     for c in (-2, 2):
-        if sturm.psign(interior, c) == 0:
-            quo, rem = sturm.divmod_int_exact(interior, (-c, 1))
+        at_ends.append(sturm.sign_at(interior, c, 1) == 0)
+        if at_ends[-1]:
+            interior, rem = sturm.divmod_int_exact(interior, (-c, 1))
             assert not rem
-            interior = quo
-            degenerate.append((Fraction(c), Fraction(c)))
-    if degenerate:
+    if any(at_ends):
         chain = sturm.sturm_chain(interior)
-    ivs = sturm.isolate_roots(chain, Fraction(-2), Fraction(2)) if sturm.degree(interior) >= 1 else []
-    ivs = _separate_intervals(interior, ivs)
-    all_ivs = sorted(degenerate + list(ivs))
-    signs = []
-    prev_hi = Fraction(-2)
-    for lo, hi in all_ivs:
-        signs.append(_gap_sign(q, prev_hi, lo))
-        prev_hi = hi
-    signs.append(_gap_sign(q, prev_hi, Fraction(2)))
-    return RootIsolation(q, qt, tuple(interior), tuple(all_ivs), tuple(signs))
+    ends = sturm.isolate_ends(chain, Fraction(-2), Fraction(2)) if sturm.degree(interior) >= 1 else []
+    ends = [(-2, 1, -2, 1)] * at_ends[0] + [e[:4] for e in _separate_intervals(interior, ends)]
+    ends += [(2, 1, 2, 1)] * at_ends[1]
+    # Runs of four: the gaps from -2 to the first interval, between them, and on to 2.
+    flat = (-2, 1, *itertools.chain.from_iterable(ends), 2, 1)
+    signs = tuple(_gap_sign(q, *flat[i : i + 4]) for i in range(0, len(flat), 4))
+    ivs = tuple((Fraction(a, ad), Fraction(b, bd)) for a, ad, b, bd in ends)
+    return RootIsolation(q, qt, tuple(interior), ivs, signs)
 
 
-def _separate_intervals(
-    poly: Sequence[int], ivs: list[tuple[Fraction, Fraction]]
-) -> list[tuple[Fraction, Fraction]]:
-    """Refine isolating intervals until they sit strictly inside (-2, 2) and
-    leave positive-width gaps between one another (bisection shares endpoints)."""
-    ivs = list(ivs)
-    while ivs:
-        separated = (
-            ivs[0][0] > -2
-            and ivs[-1][1] < 2
-            and all(a[1] < b[0] for a, b in zip(ivs, ivs[1:]))
-        )
-        if separated:
+def _separate_intervals(poly: Sequence[int], ends: list[sturm.Ends]) -> list[sturm.Ends]:
+    """Refine isolating intervals to a quarter of the narrowest width until
+    they sit strictly inside (-2, 2) with gaps between them (bisection
+    shares endpoints), comparing integer ends by cross-multiplication."""
+    while ends:
+        inside = ends[0][0] > -2 * ends[0][1] and ends[-1][2] < 2 * ends[-1][3]
+        if inside and all(x[2] * y[1] < y[0] * x[3] for x, y in zip(ends, ends[1:])):
             break
-        width = min(hi - lo for lo, hi in ivs) / 4
-        ivs = [sturm.refine_root(poly, lo, hi, width) for lo, hi in ivs]
-    return ivs
+        wn, wd = 1, 0
+        for a, ad, b, bd, _ in ends:
+            n, d = b * ad - a * bd, ad * bd
+            if n * wd < wn * d:
+                wn, wd = n, d
+        ends = [sturm.refine_ends(poly, *e, wn, 4 * wd) for e in ends]
+    return ends
 
 
-def _gap_sign(q: Sequence[int], lo: Fraction, hi: Fraction) -> int:
-    if lo >= hi:
-        return 0
-    return sturm.sign_at(q, *_midpoint(lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+def _gap_sign(q: Sequence[int], an: int, ad: int, bn: int, bd: int) -> int:
+    """The sign of q at the midpoint of an/ad and bn/bd, or 0 if bn/bd <= an/ad."""
+    return sturm.sign_at(q, *_midpoint(an, ad, bn, bd)) if bn * ad > an * bd else 0
 
 
 def _check_simple_circle_roots(d: LaurentPoly, iso: RootIsolation) -> None:
@@ -609,21 +603,23 @@ def min_root_gap(d: LaurentPoly) -> GapBound:
     if not iso.interior_intervals():
         # Only the two exact roots at turns 0 and 1/2 remain.
         return GapBound(HALF, True)
-    return GapBound(min(_gap_bounds(iso)), False)
-
-
-def _gap_bounds(iso: RootIsolation) -> list[Fraction]:
     interior = iso.interior_intervals()
-    # Consecutive angles in the lower half: x intervals in descending order,
-    # |d theta| >= |d x| / (4 pi) and 4 pi < 13.
-    desc = list(reversed(interior))
-    bounds = [(a_lo - b_hi) / 13 for (a_lo, _a_hi), (_b_lo, b_hi) in zip(desc, desc[1:])]
     # Gap bridging the half turn (between theta and 1 - theta, or to an exact
     # root at 1/2): 1 - 2 theta >= sqrt(x + 2) / pi.
-    bounds.append(_sqrt_lower(interior[0][0] + 2) / (8 if iso.root_at_half_turn() else 4))
+    bounds = [_sqrt_lower(interior[0][0] + 2) / (8 if iso.root_at_half_turn() else 4)]
     # Gap wrapping through zero: 2 theta >= sqrt(2 - x) / pi.
     bounds.append(_sqrt_lower(2 - interior[-1][1]) / (7 if iso.root_at_zero_turn() else 4))
-    return bounds
+    # Consecutive angles: |d theta| >= |d x| / (4 pi) and 4 pi < 13, with
+    # d x at least the narrowest gap between x intervals.
+    wn, wd = 1, 0
+    for (_, hi), (lo, _) in zip(interior, interior[1:]):
+        n = lo.numerator * hi.denominator - hi.numerator * lo.denominator
+        d = lo.denominator * hi.denominator
+        if n * wd < wn * d:
+            wn, wd = n, d
+    if wd:
+        bounds.append(Fraction(wn, 13 * wd))
+    return GapBound(min(bounds), False)
 
 
 def eval_formal_signature(knot, theta) -> int:

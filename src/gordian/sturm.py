@@ -4,11 +4,11 @@ Polynomials are tuples of coefficients in ascending degree order with the
 leading coefficient nonzero; () is the zero polynomial.  All arithmetic is
 exact, and sign tests, bisection and division are integer-only: sign_at
 takes a point as numerator and positive denominator; split_point,
-isolate_roots and refine_root bisect on integer pairs in lowest terms and
-build a Fraction only for the intervals they return; divmod_int_exact serves
-every division.  peval and pdivmod are the Fraction evaluation and division
-that the integer kernels are tested against; nothing in the package calls
-them.
+isolate_ends and refine_ends bisect on integer pairs in lowest terms, and
+isolate_roots and refine_root are their Fraction forms; divmod_int_exact
+serves every division.  peval and pdivmod are the Fraction evaluation and
+division that the integer kernels are tested against; nothing in the
+package calls them.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Sequence
 
 IntPoly = tuple[int, ...]
 Rat = Fraction
+Ends = tuple[int, int, int, int, int]
 
 
 def trim(coeffs: Sequence) -> tuple:
@@ -257,48 +258,59 @@ def split_point(f: Sequence[int], a: int, ad: int, b: int, bd: int) -> tuple[int
             return m, md, s
 
 
-def isolate_roots(chain: list[IntPoly], lo: Rat, hi: Rat) -> list[tuple[Rat, Rat]]:
-    """Disjoint open rational intervals, each containing exactly one root in
-    (lo, hi) of the square-free polynomial chain[0], given its Sturm chain
-    (see square_free_chain); endpoints are never roots.
+def isolate_ends(chain: list[IntPoly], lo: Rat, hi: Rat) -> list[Ends]:
+    """Ascending disjoint open intervals (a, ad, b, bd, s), each containing
+    exactly one root in (lo, hi) of the square-free polynomial chain[0], given
+    its Sturm chain (see square_free_chain): a/ad and b/bd in lowest terms and
+    never roots, s the sign of chain[0] at a/ad.
 
-    Each stack entry carries the sign variations at both of its integer
-    ends, so a split point is evaluated once although it bounds two
-    intervals, and split_point's sign stands in for chain[0] there.  The
-    upper half is popped first, so the intervals come out descending.
+    Each stack entry carries the sign variations at both of its ends, so a
+    split point is evaluated once although it bounds two intervals, and
+    split_point's sign stands in for chain[0] there, also as the low-end sign
+    of the upper half, which is popped first: the intervals come out descending.
     """
     ends = [(x.numerator, x.denominator) for x in (lo, hi)]
     end_signs = [[sign_at(p, n, d) for p in chain] for n, d in ends]
     if end_signs[0][0] == 0 or end_signs[1][0] == 0:
         raise ValueError("isolation endpoints must not be roots")
     f, rest = chain[0], chain[1:]
-    out: list[tuple[Rat, Rat]] = []
-    stack = [(*ends[0], *ends[1], *map(sign_variations, end_signs))]
+    out: list[Ends] = []
+    stack = [(*ends[0], *ends[1], end_signs[0][0], *map(sign_variations, end_signs))]
     while stack:
-        a, ad, b, bd, va, vb = stack.pop()
+        a, ad, b, bd, sa, va, vb = stack.pop()
         roots = va - vb
         if roots == 0:
             continue
         if roots == 1:
-            out.append((Fraction(a, ad), Fraction(b, bd)))
+            out.append((a, ad, b, bd, sa))
             continue
         m, md, sm = split_point(f, a, ad, b, bd)
         vm = sign_variations([sm] + [sign_at(p, m, md) for p in rest])
-        stack.append((a, ad, m, md, va, vm))
-        stack.append((m, md, b, bd, vm, vb))
+        stack.append((a, ad, m, md, sa, va, vm))
+        stack.append((m, md, b, bd, sm, vm, vb))
     out.reverse()
     return out
 
 
-def refine_root(f: Sequence, lo: Rat, hi: Rat, width: Rat) -> tuple[Rat, Rat]:
-    """Shrink an isolating interval of f below the requested width by bisection."""
-    a, ad, b, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    wn, wd = width.numerator, width.denominator
-    slo = sign_at(f, a, ad)
+def isolate_roots(chain: list[IntPoly], lo: Rat, hi: Rat) -> list[tuple[Rat, Rat]]:
+    """isolate_ends with each interval as a pair of Fractions."""
+    return [(Fraction(a, ad), Fraction(b, bd)) for a, ad, b, bd, _ in isolate_ends(chain, lo, hi)]
+
+
+def refine_ends(f: Sequence[int], a: int, ad: int, b: int, bd: int, slo: int, wn: int, wd: int) -> Ends:
+    """Shrink an isolating interval (a, ad, b, bd, slo) of f, as isolate_ends
+    gives it, by bisection until its width is at most wn/wd (wd > 0)."""
     while (b * ad - a * bd) * wd > wn * ad * bd:
         m, md, sm = split_point(f, a, ad, b, bd)
         if (slo > 0) != (sm > 0):
             b, bd = m, md
         else:
             a, ad, slo = m, md, sm
+    return a, ad, b, bd, slo
+
+
+def refine_root(f: Sequence, lo: Rat, hi: Rat, width: Rat) -> tuple[Rat, Rat]:
+    """Shrink an isolating interval of f below the requested width by bisection."""
+    a, ad, b, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    a, ad, b, bd, _ = refine_ends(f, a, ad, b, bd, sign_at(f, a, ad), width.numerator, width.denominator)
     return Fraction(a, ad), Fraction(b, bd)

@@ -105,6 +105,18 @@ def test_signature_and_rootiso_and_gap(capsys):
     assert doc["payload"] == {"poly": "t^-1-1+t", "gap": "1/3", "exact": True}
 
 
+def test_rootiso_with_roots_at_both_ends_and_interior_roots(capsys):
+    """q = (x + 2)(x + 1)(x - 1)(x - 2): degenerate intervals first and last,
+    each interior interval holding its root, and no gap next to +-2."""
+    _, doc = run(capsys, "rootiso", "--poly", "t^-4-t^-2-t^2+t^4")
+    assert doc["payload"] == {
+        "poly": "t^-4-t^-2-t^2+t^4",
+        "intervals": [["-2", "-2"], ["-10/9", "-2/3"], ["8/9", "4/3"], ["2", "2"]],
+        "sign_pattern": [0, -1, 1, -1, 0],
+        "circle_roots": 6,
+    }
+
+
 def test_embed(capsys):
     from gordian.graph import phi
     from gordian.knots import FormalKnot
@@ -313,6 +325,15 @@ def test_embed_past_the_digit_limit_is_an_error_document():
     proc = run_process(("-m", "gordian.cli"), "embed", "--vertex", "1,1,1,1,1,1,1,1,1,1")
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     assert "PYTHONINTMAXSTRDIGITS" in json.loads(proc.stdout)["error"]
+
+
+@pytest.mark.parametrize("poly", ["t^" + "1" * 5000, "1" * 5000 + "t"], ids=["exponent", "coefficient"])
+def test_poly_past_the_digit_limit_is_an_error_document(poly):
+    proc = run_process(("-m", "gordian.cli"), "poly", "normalize", "--poly", poly)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "error"
+    assert "PYTHONINTMAXSTRDIGITS" in doc["error"]
 
 
 REIMPORT = """

@@ -1059,3 +1059,113 @@ def test_sum_and_sup_distance_with_a_torus_signature_at_large_p():
     assert sup_distance(sf, torus) == 2
     assert len((sf + torus).breakpoints) == 10008
     assert time.perf_counter() - t0 < 1
+
+
+# ---------------------------------------------------------------------------
+# integer interval ends from isolation to comparison, against the Fraction
+# separation, the scanning RootIsolation predicates and the Fraction gap
+# bounds they replaced
+
+X_MINUS_2 = parse_poly("t^-1-2+t")
+X_PLUS_2 = parse_poly("t^-1+2+t")
+
+
+def reference_separate_intervals(poly, ivs):
+    """Refine every interval to a quarter of the narrowest width, in Fractions,
+    until all sit strictly inside (-2, 2) with gaps between them."""
+    ivs = list(ivs)
+    while ivs:
+        if ivs[0][0] > -2 and ivs[-1][1] < 2 and all(a[1] < b[0] for a, b in zip(ivs, ivs[1:])):
+            break
+        width = min(hi - lo for lo, hi in ivs) / 4
+        ivs = [sturm.refine_root(poly, lo, hi, width) for lo, hi in ivs]
+    return ivs
+
+
+def reference_isolation(d):
+    """(intervals, sign_pattern) of isolate_circle_roots, with the degenerate
+    intervals sorted in and every gap sign taken at a Fraction midpoint."""
+    q = to_chebyshev(d)
+    if sturm.degree(q) < 1:
+        return (), (1 if q[0] > 0 else -1,)
+    interior, chain = sturm.square_free_chain(q)
+    degenerate = []
+    for c in (-2, 2):
+        if sturm.psign(interior, c) == 0:
+            interior = sturm.divmod_int_exact(interior, (-c, 1))[0]
+            degenerate.append((F(c), F(c)))
+    if degenerate:
+        chain = sturm.sturm_chain(interior)
+    ivs = sturm.isolate_roots(chain, F(-2), F(2)) if sturm.degree(interior) >= 1 else []
+    ivs = sorted(degenerate + reference_separate_intervals(interior, ivs))
+    edges = [F(-2)] + [x for iv in ivs for x in iv] + [F(2)]
+    signs = [sturm.psign(q, (lo + hi) / 2) if lo < hi else 0 for lo, hi in zip(edges[::2], edges[1::2])]
+    return tuple(ivs), tuple(signs)
+
+
+def reference_predicates(intervals):
+    """interior_intervals, root_at_zero_turn, root_at_half_turn and
+    circle_root_count by a scan of every interval."""
+    degenerate = sum(1 for iv in intervals if iv[0] == iv[1])
+    return (
+        tuple(iv for iv in intervals if iv[0] != iv[1]),
+        any(iv == (2, 2) for iv in intervals),
+        any(iv == (-2, -2) for iv in intervals),
+        2 * (len(intervals) - degenerate) + degenerate,
+    )
+
+
+def reference_gap_bounds(intervals):
+    """Every consecutive separation over 13 and both square-root bounds, in Fractions."""
+    interior, at_zero, at_half, _ = reference_predicates(intervals)
+    desc = list(reversed(interior))
+    bounds = [(a_lo - b_hi) / 13 for (a_lo, _a_hi), (_b_lo, b_hi) in zip(desc, desc[1:])]
+    bounds.append(signature._sqrt_lower(interior[0][0] + 2) / (8 if at_half else 4))
+    bounds.append(signature._sqrt_lower(2 - interior[-1][1]) / (7 if at_zero else 4))
+    return bounds
+
+
+def reference_min_root_gap(d):
+    """min_root_gap off the torus products, from the reference predicates and bounds."""
+    intervals, _ = reference_isolation(d)
+    interior, _, _, count = reference_predicates(intervals)
+    if count <= 1:
+        return signature.GapBound(F(1), True)
+    if not interior:
+        return signature.GapBound(F(1, 2), True)
+    return signature.GapBound(min(reference_gap_bounds(intervals)), False)
+
+
+def with_end_roots(a, factors):
+    """from_basis(a), a normalized polynomial of degree len(a), times x - 2
+    and x + 2 as the factors ask, in Laurent form."""
+    d = from_basis(a)
+    for f in factors:
+        d = d * f
+    return d
+
+
+end_root_polys = st.builds(
+    with_end_roots,
+    st.lists(st.integers(-5, 5), min_size=2, max_size=16),
+    st.sampled_from([(), (X_MINUS_2,), (X_PLUS_2,), (X_MINUS_2, X_PLUS_2)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(end_root_polys)
+@example(parse_poly("t^-4-t^-2-t^2+t^4"))  # roots at x = -2, -1, 1, 2
+@example(parse_poly("t^-3-t^-1-t+t^3"))  # roots at x = -2, 0, 2
+@example(FIG3 * X_MINUS_2 * X_PLUS_2)  # no interior root
+@example(from_basis([-4, 4, 5, 3, -2, -1, -1, -1, -4, 5, 2, -1, 2, 5]) * X_MINUS_2 * X_PLUS_2)
+def test_integer_isolation_matches_the_fraction_reference(d):
+    iso = isolate_circle_roots(d)
+    assert (iso.intervals, iso.sign_pattern) == reference_isolation(d)
+    assert (
+        iso.interior_intervals(),
+        iso.root_at_zero_turn(),
+        iso.root_at_half_turn(),
+        iso.circle_root_count(),
+    ) == reference_predicates(iso.intervals)
+    if torus_factorization(d) is None:
+        assert min_root_gap(d) == reference_min_root_gap(d)

@@ -500,6 +500,43 @@ def test_integer_bisection_matches_fraction_bisection(cofactor, roots, window, p
         assert sturm.refine_root(f, a, b, width) == reference_refine_root(f, a, b, width)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=8).map(sturm.trim),
+    planted_roots,
+    st.one_of(st.none(), st.tuples(rationals, rationals)),
+    st.integers(1, 2**20),
+)
+@example([1], DYADIC, None, 1000)
+@example([1], FIRST_OFFSET_ROOTS, (F(0), F(1)), 7)
+def test_integer_ends_match_the_fraction_forms(cofactor, roots, window, precision):
+    """isolate_ends and refine_ends give the intervals of isolate_roots and
+    refine_root, and of the Fraction bisection, as integer pairs in lowest
+    terms, each with f's sign at its low end."""
+    f = sturm.square_free_part(sturm.pmul(cofactor or (1,), poly_from_roots(roots)))
+    assume(sturm.degree(f) >= 1)
+    if window is None:
+        b = root_bound(f)
+        lo, hi = F(-b), F(b)
+    else:
+        lo, hi = sorted(window)
+        assume(lo < hi)
+    assume(sturm.psign(f, lo) != 0 and sturm.psign(f, hi) != 0)
+    chain = sturm.square_free_chain(f)[1]
+    ends = sturm.isolate_ends(chain, lo, hi)
+    ivs = [(F(a, ad), F(b, bd)) for a, ad, b, bd, _ in ends]
+    assert ivs == sturm.isolate_roots(chain, lo, hi) == reference_fraction_isolate_roots(f, lo, hi)
+    for (a, ad, b, bd, s), (x, y) in zip(ends, ivs):
+        assert (x.numerator, x.denominator, y.numerator, y.denominator) == (a, ad, b, bd)
+        assert s == sturm.psign(f, x) != 0
+        width = (y - x) / precision
+        ra, rad, rb, rbd, rs = sturm.refine_ends(f, a, ad, b, bd, s, width.numerator, width.denominator)
+        refined = (F(ra, rad), F(rb, rbd))
+        assert refined == sturm.refine_root(f, x, y, width) == reference_refine_root(f, x, y, width)
+        assert (refined[0].numerator, refined[0].denominator, refined[1].numerator) == (ra, rad, rb)
+        assert rs == sturm.psign(f, refined[0]) != 0
+
+
 def test_split_point_reaches_the_odd_dyadic_offsets():
     f = poly_from_roots(FIRST_OFFSET_ROOTS)
     assert sturm.split_point(f, 0, 1, 1, 1) == (3, 32, sturm.psign(f, F(3, 32)))
