@@ -333,7 +333,7 @@ def parse_poly(text: str) -> LaurentPoly:
         try:
             c = 1 if coeff is None else int(coeff)
             e = 0 if var is None else 1 if exp is None else int(exp)
-        except ValueError:  # the only one int raises on a digit string
+        except ValueError:  # raised for a digit string only past Python's limit
             raise digit_limit_error(f"a number in the term at position {pos}") from None
         terms.append((e, -c if sign == "-" else c))
         pos = m.end()

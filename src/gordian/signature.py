@@ -473,9 +473,9 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     ends = sturm.isolate_ends(chain, Fraction(-2), Fraction(2)) if sturm.degree(interior) >= 1 else []
     ends = [(-2, 1, -2, 1)] * at_ends[0] + [e[:4] for e in _separate_intervals(interior, ends)]
     ends += [(2, 1, 2, 1)] * at_ends[1]
-    # Runs of four: the gaps from -2 to the first interval, between them, and on to 2.
-    flat = (-2, 1, *itertools.chain.from_iterable(ends), 2, 1)
-    signs = tuple(_gap_sign(q, *flat[i : i + 4]) for i in range(0, len(flat), 4))
+    gap_los = [(-2, 1)] + [(b, bd) for _, _, b, bd in ends]
+    gap_his = [(a, ad) for a, ad, _, _ in ends] + [(2, 1)]
+    signs = tuple(_gap_sign(q, *lo, *hi) for lo, hi in zip(gap_los, gap_his))
     ivs = tuple((Fraction(a, ad), Fraction(b, bd)) for a, ad, b, bd in ends)
     return RootIsolation(q, qt, tuple(interior), ivs, signs)
 
