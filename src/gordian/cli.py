@@ -152,8 +152,14 @@ def _cmd_detour(args) -> dict:
     return {"plan": plan.payload(), "verified": report.ok, "report": report.payload()}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise a usage error for main to report, instead of exiting."""
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gordian",
         description="Exact computations with knot signatures, circle arcs and gordian distance certificates.",
         epilog="The GORDIAN_MAX_P environment variable overrides the materialization guard "
@@ -252,23 +258,26 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _error(exc: Exception, provenance: dict, code: int) -> int:
+    print(json.dumps({"status": "error", "error": str(exc), "provenance": provenance}, indent=2))
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    command = list(argv) if argv is not None else sys.argv[1:]
+    provenance = {"command": command, "version": __version__}
     try:
-        args = parser.parse_args(_merge_dash_values(list(argv if argv is not None else sys.argv[1:])))
-    except SystemExit as exc:
+        args = parser.parse_args(_merge_dash_values(command))
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    provenance = {
-        "command": list(argv) if argv is not None else sys.argv[1:],
-        "version": __version__,
-    }
+    except argparse.ArgumentError as exc:
+        return _error(exc, provenance, 2)
     try:
         payload = args.func(args)
     except DomainError as exc:
-        document = {"status": "error", "error": str(exc), "provenance": provenance}
-        print(json.dumps(document, indent=2))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, provenance, 1)
     document = {"status": "ok", "payload": payload, "provenance": provenance}
     print(json.dumps(document, indent=2))
     print(_summary(payload), file=sys.stderr)

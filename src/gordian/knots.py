@@ -137,9 +137,12 @@ _P_CACHE = [3]
 
 
 def p_sequence(n: int) -> int:
-    """The canonical generator parameter p_n = (2n+1)(2n-1)...3 for n >= 1."""
+    """The canonical generator parameter p_n = (2n+1)(2n-1)...3 for n >= 1; the
+    memo keeps p_1..p_n, so an index past the guard is refused before it grows."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"p_sequence expects a positive integer index, got {n!r}")
+    if n > materialization_limit():
+        raise guard_error(f"generator index {describe(n)}")
     while len(_P_CACHE) < n:
         m = len(_P_CACHE) + 1
         _P_CACHE.append(_P_CACHE[-1] * (2 * m + 1))

@@ -163,13 +163,6 @@ def _cmp_root_cos(f: Sequence[int], lo: Fraction, hi: Fraction, r: Fraction) -> 
             return 0
 
 
-def _midpoint(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-    """The midpoint of an/ad and bn/bd (ad, bd > 0) in lowest terms."""
-    n, d = an * bd + bn * ad, 2 * ad * bd
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 _GCD_AFTER = 24
 
 
@@ -204,7 +197,7 @@ def _cmp_x_intervals(p1, lo1, hi1, p2, lo2, hi2) -> int:
             chain = sturm.sturm_chain(sturm.pgcd(p1, p2))
             if sturm.count_roots(chain, Fraction(an, ad), Fraction(bn, bd)) > 0:
                 return 0
-        n, d = (bn, bd) if step < 0 else _midpoint(an, ad, bn, bd)
+        n, d = (bn, bd) if step < 0 else sturm._midpoint(an, ad, bn, bd)
 
 
 def angle_cmp(a: Angle, b: Angle) -> int:
@@ -449,6 +442,9 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     Chebyshev form q and splits off q's square-free part (its Sturm chain
     comes from the same remainder sequence); the repeated part is their
     exact quotient.  Intervals stay integer ends until the result is built.
+    For square-free q the gap signs come from the sign of the interior part
+    that each separated interval carries at its low end; q is evaluated in
+    the gaps only when it has a repeated part or no root inside (-2, 2).
 
     Cached on d, as signature_of_poly and min_root_gap both isolate d; the
     result is frozen and refined returns a copy, so sharing it is safe, and
@@ -471,11 +467,18 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     if any(at_ends):
         chain = sturm.sturm_chain(interior)
     ends = sturm.isolate_ends(chain, Fraction(-2), Fraction(2)) if sturm.degree(interior) >= 1 else []
-    ends = [(-2, 1, -2, 1)] * at_ends[0] + [e[:4] for e in _separate_intervals(interior, ends)]
-    ends += [(2, 1, 2, 1)] * at_ends[1]
-    gap_los = [(-2, 1)] + [(b, bd) for _, _, b, bd in ends]
-    gap_his = [(a, ad) for a, ad, _, _ in ends] + [(2, 1)]
-    signs = tuple(_gap_sign(q, *lo, *hi) for lo, hi in zip(gap_los, gap_his))
+    inner = _separate_intervals(interior, ends)
+    ends = [(-2, 1, -2, 1)] * at_ends[0] + [e[:4] for e in inner] + [(2, 1, 2, 1)] * at_ends[1]
+    if inner and sturm.degree(qt) == sturm.degree(q):
+        # q is a positive multiple of qt = interior (x + 2)^e (x - 2)^f, and
+        # x - 2 < 0 on (-2, 2).  No root lies in a gap, so q has its sign at
+        # the low end of the interval above, or past the last interval the
+        # opposite one (the root is simple); a gap at a degenerate interval is empty.
+        lows = [s * (-1) ** at_ends[1] for *_, s in inner]
+        signs = (0,) * at_ends[0] + (*lows, -lows[-1]) + (0,) * at_ends[1]
+    else:
+        gaps = zip([(-2, 1, -2, 1)] + ends, ends + [(2, 1, 2, 1)])
+        signs = tuple(_gap_sign(q, *lo[2:], *hi[:2]) for lo, hi in gaps)
     ivs = tuple((Fraction(a, ad), Fraction(b, bd)) for a, ad, b, bd in ends)
     return RootIsolation(q, qt, tuple(interior), ivs, signs)
 
@@ -499,7 +502,7 @@ def _separate_intervals(poly: Sequence[int], ends: list[sturm.Ends]) -> list[stu
 
 def _gap_sign(q: Sequence[int], an: int, ad: int, bn: int, bd: int) -> int:
     """The sign of q at the midpoint of an/ad and bn/bd, or 0 if bn/bd <= an/ad."""
-    return sturm.sign_at(q, *_midpoint(an, ad, bn, bd)) if bn * ad > an * bd else 0
+    return sturm.sign_at(q, *sturm._midpoint(an, ad, bn, bd)) if bn * ad > an * bd else 0
 
 
 def _check_simple_circle_roots(d: LaurentPoly, iso: RootIsolation) -> None:

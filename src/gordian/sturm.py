@@ -3,10 +3,12 @@
 Polynomials are tuples of coefficients in ascending degree order with the
 leading coefficient nonzero; () is the zero polynomial.  All arithmetic is
 exact, and sign tests, bisection and division are integer-only: sign_at
-takes a point as numerator and positive denominator; split_point,
-isolate_ends and refine_ends bisect on integer pairs in lowest terms, and
-isolate_roots and refine_root are their Fraction forms; divmod_int_exact
-serves every division.  peval and pdivmod are the Fraction evaluation and
+takes a point as numerator and positive denominator, and reads the constant
+term at 0; split_point, isolate_ends and refine_ends bisect on integer pairs
+in lowest terms, at midpoints unless f vanishes there, and isolate_roots and
+refine_root are their Fraction forms; scaled_rem builds each entry of the
+signed remainder sequence, for sturm_chain and pgcd alike; divmod_int_exact
+serves every exact division.  peval and pdivmod are the Fraction evaluation and
 division that the integer kernels are tested against; nothing in the
 package calls them.
 """
@@ -45,10 +47,13 @@ def sign_at(f: Sequence[int], n: int, d: int) -> int:
     """Sign (-1, 0 or 1) of the integer polynomial f at n/d, for d > 0.
 
     This is the sign of d^deg * f(n/d), accumulated by Horner's rule as
-    acc*n + c*d^k, so no Fraction is built and n/d need not be reduced.
+    acc*n + c*d^k, so no Fraction is built and n/d need not be reduced; at
+    n = 0 it is the sign of the constant term.
     """
     if not f:
         return 0
+    if not n:
+        return (f[0] > 0) - (f[0] < 0)
     acc, dk = f[-1], 1
     for c in reversed(f[:-1]):
         dk *= d
@@ -129,45 +134,38 @@ def divmod_int_exact(f: Sequence[int], g: Sequence[int]) -> tuple[IntPoly, IntPo
 def primitive(f: Sequence[int]) -> IntPoly:
     """Divide the integer polynomial f by the positive gcd of its coefficients."""
     f = trim(f)
-    g = 0
-    for c in f:
-        g = gcd(g, c)
-        if g == 1:
-            return f
-    return tuple(c // g for c in f)
+    g = gcd(*f)
+    return f if g == 1 else tuple(c // g for c in f)
 
 
-def scaled_rem(f: Sequence[int], g: Sequence[int]) -> IntPoly:
-    """The remainder of f divided by g times an unspecified positive integer.
-
-    Pure integer arithmetic: each elimination step rescales by |lc(g)|, which
-    preserves signs, so gcds and Sturm chains built on it stay valid.
-    """
-    lc = g[-1]
-    alc = abs(lc)
-    sgn = 1 if lc > 0 else -1
-    r = list(trim(f))
-    dg = len(g) - 1
-    while len(r) - 1 >= dg:
-        lead = r[-1]
-        if alc != 1:
-            r = [alc * c for c in r]
-        k = len(r) - 1 - dg
-        slead = sgn * lead
+def scaled_rem(f: IntPoly, g: IntPoly) -> IntPoly:
+    """The entry after f and g (trimmed, g nonzero) of the signed remainder
+    sequence: primitive(-rem(f, g)), in one integer pass.  g takes the sign
+    of lc(g) once; each step pops the leading term and rescales the rest by
+    lc(g) > 0, a scale that dividing by the content removes while the
+    negated tuple is built."""
+    if g[-1] < 0:
+        g = tuple(-c for c in g)
+    lc, dg = g[-1], len(g) - 1
+    r = list(f)
+    while len(r) > dg:
+        lead = r.pop()
+        if lc != 1:
+            r = [lc * c for c in r]
+        k = len(r) - dg
         for j in range(dg):
-            r[k + j] -= slead * g[j]
-        r.pop()
+            r[k + j] -= lead * g[j]
         while r and r[-1] == 0:
             r.pop()
-    return tuple(r)
+    c = gcd(*r)
+    return tuple(x // -c for x in r)
 
 
 def pgcd(f: Sequence, g: Sequence) -> IntPoly:
     """Primitive greatest common divisor with positive leading coefficient."""
     a, b = primitive(f), primitive(g)
     while b:
-        r = scaled_rem(a, b)
-        a, b = b, primitive(r)
+        a, b = b, scaled_rem(a, b)
     if not a:
         return ()
     return a if a[-1] > 0 else pneg(a)
@@ -203,10 +201,10 @@ def sturm_chain(f: Sequence) -> list[IntPoly]:
     if d:
         chain.append(d)
     while degree(chain[-1]) > 0:
-        r = primitive(scaled_rem(chain[-2], chain[-1]))
+        r = scaled_rem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(pneg(r))
+        chain.append(r)
     return chain
 
 
@@ -232,10 +230,18 @@ def count_roots(chain: list[IntPoly], a, b) -> int:
     return sign_variations(sa) - sign_variations(sb)
 
 
+def _midpoint(a: int, ad: int, b: int, bd: int) -> tuple[int, int]:
+    """The midpoint of a/ad and b/bd (ad, bd > 0) in lowest terms."""
+    n, d = a * bd + b * ad, 2 * ad * bd
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 def _split_offsets():
-    """Offsets num/den in (0, 1) for split_point to try: 1/den for small den,
-    then the odd multiples of 1/32, 1/64, ...; f vanishes at finitely many."""
-    for den in (2, 3, 4, 5, 7, 8, 11, 13, 16, 17, 19, 23):
+    """Offsets num/den in (0, 1) for split_point to try after the midpoint:
+    1/den for small den, then the odd multiples of 1/32, 1/64, ...; f
+    vanishes at finitely many."""
+    for den in (3, 4, 5, 7, 8, 11, 13, 16, 17, 19, 23):
         yield 1, den
     den = 32
     while True:
@@ -247,7 +253,12 @@ def _split_offsets():
 def split_point(f: Sequence[int], a: int, ad: int, b: int, bd: int) -> tuple[int, int, int]:
     """A point m/md strictly between a/ad and b/bd (ad, bd > 0, a/ad < b/bd)
     where f does not vanish, in lowest terms, and the sign of f there:
-    (m, md, s) with s = sign_at(f, m, md), never 0."""
+    (m, md, s) with s = sign_at(f, m, md), never 0: the midpoint, unless f
+    vanishes there and the offsets of _split_offsets are walked from a/ad."""
+    m, md = _midpoint(a, ad, b, bd)
+    s = sign_at(f, m, md)
+    if s:
+        return m, md, s
     lo, width, den0 = a * bd, b * ad - a * bd, ad * bd
     for num, den in _split_offsets():
         m, md = lo * den + width * num, den0 * den

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -193,6 +194,18 @@ def test_certify_all_negative_depth_is_usage_error(capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("certify", "--x", "0"), ("arcs", "--p", "x"), ("certify-all", "--depth", "-1")])
+def test_usage_error_is_an_error_document(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["status"] == "error" and doc["provenance"]["command"] == list(argv)
+    assert f"error: {doc['error']}" in captured.err
+    # --help still prints the help text and exits 0.
+    assert main([argv[0], "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: gordian {argv[0]}")
+
+
 @pytest.mark.parametrize("value, message", [("abc", "must be an integer, got 'abc'"), ("1", "must be at least 3, got 1")])
 def test_bad_materialization_limit_is_domain_error(capsys, monkeypatch, value, message):
     monkeypatch.setenv("GORDIAN_MAX_P", value)
@@ -356,3 +369,35 @@ def test_reimported_copies_of_gordian_are_freed():
     names = json.loads(proc.stdout)
     assert "gordian.circle" in names
     assert len(names) == len(set(names)), names
+
+
+def capped_address_space():
+    """Run in the child before exec: 1 GiB of address space, 20 s of CPU."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+
+@pytest.mark.parametrize(
+    "argv, index",
+    [
+        (("certify", "--x", ",".join(["0"] * 20), "--y", "1"), 2097150),
+        (("embed", "--vertex", ",".join(["0"] * 24)), 33554430),
+    ],
+    ids=["certify-depth-20", "embed-depth-24"],
+)
+def test_deep_vertex_is_refused_before_the_generator_memo_grows(argv, index):
+    """phi of these vertices asks for p_sequence(index); memoizing every
+    smaller p_m ran out of a 1 GiB address space with a MemoryError."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "gordian.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+        preexec_fn=capped_address_space,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "error"
+    assert f"generator index {index} exceeds the materialization guard" in doc["error"]
+    assert "GORDIAN_MAX_P" in doc["error"]

@@ -1169,3 +1169,48 @@ def test_integer_isolation_matches_the_fraction_reference(d):
     ) == reference_predicates(iso.intervals)
     if torus_factorization(d) is None:
         assert min_root_gap(d) == reference_min_root_gap(d)
+
+
+# ---------------------------------------------------------------------------
+# gap signs carried from the separated intervals, against q evaluated at
+# every gap midpoint
+
+X_PLUS_3 = parse_poly("t^-1+3+t")  # its root x = -3 lies off the circle
+D3 = torus_poly(3)
+
+
+def with_factors(a, factors, square):
+    """with_end_roots(a, factors), squared if asked."""
+    d = with_end_roots(a, factors)
+    return d * d if square else d
+
+
+factored_polys = st.builds(
+    with_factors,
+    st.lists(st.integers(-5, 5), min_size=1, max_size=10),
+    st.sampled_from(
+        [(), (X_MINUS_2,), (X_PLUS_2,), (X_MINUS_2, X_PLUS_2), (X_PLUS_2, X_PLUS_2),
+         (X_PLUS_2, X_MINUS_2, X_MINUS_2), (X_PLUS_3, X_PLUS_3), (D3, D3)]
+    ),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_polys)
+@example(from_basis([1]))  # no interior root
+@example(from_basis([1]) * X_MINUS_2)  # q = (x - 3)(x - 2): only the root at x = 2
+@example(from_basis([1]) ** 2)  # a repeated part, no circle root
+@example(FIG3 * D3 * D3)  # a repeated part with circle roots
+@example(FIG3 * X_PLUS_2 * X_PLUS_2)  # a repeated root at x = -2
+@example(FIG3 * X_MINUS_2)
+@example(from_basis([-1, 2, 1, 3]) * X_MINUS_2 * X_PLUS_2)
+def test_carried_gap_signs_match_the_gap_midpoints(d):
+    """Square-free q takes its gap signs from the low-end signs carried by the
+    separated intervals; any q must give the signs of q at the gap midpoints."""
+    iso = isolate_circle_roots(d)
+    assert (iso.intervals, iso.sign_pattern) == reference_isolation(d)
+    ends = [(-2, 1, -2, 1)] + [(a.numerator, a.denominator, b.numerator, b.denominator) for a, b in iso.intervals]
+    ends.append((2, 1, 2, 1))
+    gaps = zip(ends, ends[1:])
+    assert iso.sign_pattern == tuple(signature._gap_sign(iso.poly, *lo[2:], *hi[:2]) for lo, hi in gaps)

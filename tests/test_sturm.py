@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd
 
 import pytest
 import sympy
@@ -378,6 +379,28 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
 # Fraction bisection and the gcd-then-chain split they replaced
 
 
+def reference_scaled_rem(f, g):
+    """The remainder of f divided by g times an unspecified positive integer,
+    rescaling by |lc(g)| and cancelling the leading term at each step."""
+    lc = g[-1]
+    alc = abs(lc)
+    sgn = 1 if lc > 0 else -1
+    r = list(sturm.trim(f))
+    dg = len(g) - 1
+    while len(r) - 1 >= dg:
+        lead = r[-1]
+        if alc != 1:
+            r = [alc * c for c in r]
+        k = len(r) - 1 - dg
+        slead = sgn * lead
+        for j in range(dg):
+            r[k + j] -= slead * g[j]
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
+
+
 def reference_sturm_chain(f):
     """Sturm sequence of a square-free polynomial, each entry primitive."""
     chain = [sturm.primitive(f)]
@@ -385,7 +408,7 @@ def reference_sturm_chain(f):
     if d:
         chain.append(d)
     while sturm.degree(chain[-1]) > 0:
-        r = sturm.primitive(sturm.scaled_rem(chain[-2], chain[-1]))
+        r = sturm.primitive(reference_scaled_rem(chain[-2], chain[-1]))
         if not r:
             break
         chain.append(sturm.pneg(r))
@@ -557,3 +580,134 @@ def test_square_free_chain_matches_gcd_then_chain(cofactor, roots):
         sf, chain = sturm.square_free_chain(g)
         assert sf == reference_square_free_part(g) == sturm.square_free_part(g)
         assert chain == reference_sturm_chain(sf)
+
+
+# ---------------------------------------------------------------------------
+# midpoint-first split points, the constant term at 0 and the one-pass
+# signed remainder, against the kernels they replaced
+
+
+def reference_sign_at(f, n, d):
+    """sign_at running Horner's rule over every coefficient, also at n = 0."""
+    if not f:
+        return 0
+    acc, dk = f[-1], 1
+    for c in reversed(f[:-1]):
+        dk *= d
+        acc = acc * n + c * dk
+    return (acc > 0) - (acc < 0)
+
+
+def reference_split_offsets():
+    """1/2, 1/3, ..., 1/23, then the odd multiples of 1/32, 1/64, ..."""
+    for den in (2, 3, 4, 5, 7, 8, 11, 13, 16, 17, 19, 23):
+        yield 1, den
+    den = 32
+    while True:
+        for num in range(1, den, 2):
+            yield num, den
+        den *= 2
+
+
+def reference_int_split_point(f, a, ad, b, bd):
+    """split_point walking the offsets from 1/2 on, each point built from
+    a/ad and the width and reduced to lowest terms."""
+    lo, width, den0 = a * bd, b * ad - a * bd, ad * bd
+    for num, den in reference_split_offsets():
+        m, md = lo * den + width * num, den0 * den
+        g = gcd(m, md)
+        s = reference_sign_at(f, m // g, md // g)
+        if s:
+            return m // g, md // g, s
+
+
+def reference_primitive(f):
+    """primitive with the gcd taken one coefficient at a time."""
+    f = sturm.trim(f)
+    g = 0
+    for c in f:
+        g = gcd(g, c)
+        if g == 1:
+            return f
+    return tuple(c // g for c in f)
+
+
+def reference_pgcd(f, g):
+    """pgcd over the positive-scale remainder, made primitive each step."""
+    a, b = reference_primitive(f), reference_primitive(g)
+    while b:
+        a, b = b, reference_primitive(reference_scaled_rem(a, b))
+    if not a:
+        return ()
+    return a if a[-1] > 0 else sturm.pneg(a)
+
+
+def reference_square_free_chain(f):
+    """square_free_chain over reference_sturm_chain."""
+    chain = reference_sturm_chain(f)
+    g = chain[-1]
+    if sturm.degree(g) <= 0:
+        return chain[0], chain
+    quo, rem = sturm.divmod_int_exact(chain[0], g if g[-1] > 0 else sturm.pneg(g))
+    assert not rem
+    return quo, reference_sturm_chain(quo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_polys, st.integers(-60, 60), st.integers(1, 12))
+@example((), 0, 1)
+@example((0, 3), 0, 4)
+@example((-5, 0, 1), 0, 7)
+@example((2, -1), -6, 4)
+def test_sign_at_matches_horner_at_every_point(f, n, d):
+    """At 0, at negative points and at unreduced n/d, on the zero polynomial too."""
+    assert sturm.sign_at(f, n, d) == reference_sign_at(f, n, d) == fraction_sign(f, F(n, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(sturm.trim),
+    planted_roots,
+    rationals,
+    rationals,
+    st.booleans(),
+    st.integers(1, 4),
+)
+@example([1], [], F(0), F(1), True, 1)
+@example([1], [], F(1, 3), F(2, 3), True, 2)
+@example([1], FIRST_OFFSET_ROOTS, F(0), F(1), False, 1)
+def test_split_point_matches_the_offset_walk(cofactor, roots, x, y, root_at_midpoint, scale):
+    """A root planted at the midpoint sends both to the den-3 point, and the
+    first offsets' roots to the odd multiples of 1/32; ends need not be reduced."""
+    assume(x != y)
+    lo, hi = sorted((x, y))
+    f = sturm.pmul(cofactor or (1,), poly_from_roots(roots + [(lo + hi) / 2] * root_at_midpoint))
+    ends = (lo.numerator * scale, lo.denominator * scale, hi.numerator * scale, hi.denominator * scale)
+    assert sturm.split_point(f, *ends) == reference_int_split_point(f, *ends)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), max_size=5).map(sturm.trim),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(-4, 4).filter(bool)), max_size=4),
+    st.integers(1, 3),
+    st.sampled_from([1, -1, 3, -6]),
+)
+@example([], [], 1, 1)
+@example([7], [], 1, -1)
+@example([], [(1, 2)], 1, -3)
+@example([1, 0, 1], [(1, -1), (2, 3)], 3, -6)
+def test_remainder_sequences_match_the_parent_kernels(cofactor, linear, power, scale):
+    """Products with repeated linear factors, negative leading coefficients
+    and constants; the zero polynomial when the cofactor is empty."""
+    f = (scale,)
+    for n, d in linear:
+        for _ in range(power):
+            f = sturm.pmul(f, (n, d))
+    f = sturm.pmul(f, cofactor)
+    df = sturm.pderiv(f)
+    assert sturm.primitive(f) == reference_primitive(f) and sturm.primitive(df) == reference_primitive(df)
+    assert sturm.sturm_chain(f) == reference_sturm_chain(f)
+    assert sturm.square_free_chain(f) == reference_square_free_chain(f)
+    for g in (df, cofactor, sturm.pmul(df, (scale,))):
+        assert sturm.pgcd(f, g) == reference_pgcd(f, g)
