@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 from . import circle, knots, signature
 from .errors import DomainError
 from .knots import FormalKnot, GeneratorId, UNKNOT, p_sequence
-from .limits import decimal, describe
+from .limits import decimal, describe, guard_error, materialization_limit
 
 Vertex = tuple[int, ...]
 
@@ -231,7 +231,12 @@ def vertices_to_depth(depth: int, valency: int = 2) -> list[Vertex]:
 
 
 def certify_all(depth: int, valency: int = 2) -> list[IsometryCertificate]:
-    """Certificates for every unordered pair of distinct vertices up to depth."""
+    """Certificates for every unordered pair of distinct vertices up to depth;
+    a pair count past the guard is refused before any vertex is built."""
+    n = (valency ** (depth + 1) - 1) // (valency - 1) if valency != 1 else depth + 1
+    pairs = n * (n - 1) // 2
+    if pairs > materialization_limit():
+        raise guard_error(f"certify-all pair count {describe(pairs)}")
     vs = vertices_to_depth(depth, valency)
     out = []
     for i, x in enumerate(vs):

@@ -8,6 +8,7 @@ compared exactly by integer signs in one shared bisection of the overlap of
 their intervals, and by a gcd when they stay together; a root and a turn m/n
 by integer enclosures of 2 cos(2 pi m/n), and by division by Phi_n.  The
 value of a step function at a breakpoint is the average of its two sides.
+Signature values follow from the breakpoints; only rootiso reads gap signs.
 """
 
 from __future__ import annotations
@@ -153,11 +154,12 @@ def _cmp_root_cos(f: Sequence[int], lo: Fraction, hi: Fraction, r: Fraction) -> 
     or f's sign at an end inside, read against f's sign at lo.  Equal roots
     never do, so from 64 bits on c in (a, b) inside (lo, hi) is tested as a root.
     """
+    s = sturm.psign(f, lo)
     for k in itertools.count():
         a, b = _cos_bounds(r, 32 << k)
-        if b <= lo or (b < hi and sturm.psign(f, lo) * sturm.psign(f, b) >= 0):
+        if b <= lo or (b < hi and s * sturm.psign(f, b) >= 0):
             return 1
-        if a >= hi or (a > lo and sturm.psign(f, lo) * sturm.psign(f, a) <= 0):
+        if a >= hi or (a > lo and s * sturm.psign(f, a) <= 0):
             return -1
         if k and lo < a and b < hi and _cos_root_of(f, r.denominator):
             return 0
@@ -397,8 +399,6 @@ class RootIsolation:
     intervals are ascending disjoint rational intervals in [-2, 2], each
     containing exactly one root of poly; roots at x = +-2 appear as degenerate
     (c, c) intervals, first and last, and all others lie inside (-2, 2).
-    sign_pattern[i] is the sign of poly on the open gap below the i-th
-    interval (the last entry is the gap up to 2); an empty gap gets 0.
     interior_poly drives refinement and omits the +-2 factors.
     """
 
@@ -406,7 +406,13 @@ class RootIsolation:
     square_free: tuple[int, ...]
     interior_poly: tuple[int, ...]
     intervals: tuple[tuple[Fraction, Fraction], ...]
-    sign_pattern: tuple[int, ...]
+
+    @property
+    def sign_pattern(self) -> tuple[int, ...]:
+        """Sign of poly on the open gap below each interval, then up to 2; 0 if
+        empty.  Evaluated on demand at the gap midpoints: only rootiso prints it."""
+        ends = [(-2, 1)] + [(x.numerator, x.denominator) for iv in self.intervals for x in iv] + [(2, 1)]
+        return tuple(_gap_sign(self.poly, *lo, *hi) for lo, hi in zip(ends[::2], ends[1::2]))
 
     def interior_intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return self.intervals[self.root_at_half_turn() : len(self.intervals) - self.root_at_zero_turn()]
@@ -441,10 +447,8 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     The one place outside torus_factorization that converts d to its
     Chebyshev form q and splits off q's square-free part (its Sturm chain
     comes from the same remainder sequence); the repeated part is their
-    exact quotient.  Intervals stay integer ends until the result is built.
-    For square-free q the gap signs come from the sign of the interior part
-    that each separated interval carries at its low end; q is evaluated in
-    the gaps only when it has a repeated part or no root inside (-2, 2).
+    exact quotient.  Intervals stay integer ends until the result is built;
+    no gap sign is computed unless sign_pattern is read.
 
     Cached on d, as signature_of_poly and min_root_gap both isolate d; the
     result is frozen and refined returns a copy, so sharing it is safe, and
@@ -453,9 +457,6 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     if d.is_zero():
         raise DomainError("cannot isolate roots of the zero polynomial")
     q = to_chebyshev(d)
-    if sturm.degree(q) < 1:
-        sign = 1 if q[0] > 0 else -1
-        return RootIsolation(q, q, q, (), (sign,))
     qt, chain = sturm.square_free_chain(q)
     interior = qt
     at_ends = []
@@ -469,18 +470,8 @@ def isolate_circle_roots(d: LaurentPoly) -> RootIsolation:
     ends = sturm.isolate_ends(chain, Fraction(-2), Fraction(2)) if sturm.degree(interior) >= 1 else []
     inner = _separate_intervals(interior, ends)
     ends = [(-2, 1, -2, 1)] * at_ends[0] + [e[:4] for e in inner] + [(2, 1, 2, 1)] * at_ends[1]
-    if inner and sturm.degree(qt) == sturm.degree(q):
-        # q is a positive multiple of qt = interior (x + 2)^e (x - 2)^f, and
-        # x - 2 < 0 on (-2, 2).  No root lies in a gap, so q has its sign at
-        # the low end of the interval above, or past the last interval the
-        # opposite one (the root is simple); a gap at a degenerate interval is empty.
-        lows = [s * (-1) ** at_ends[1] for *_, s in inner]
-        signs = (0,) * at_ends[0] + (*lows, -lows[-1]) + (0,) * at_ends[1]
-    else:
-        gaps = zip([(-2, 1, -2, 1)] + ends, ends + [(2, 1, 2, 1)])
-        signs = tuple(_gap_sign(q, *lo[2:], *hi[:2]) for lo, hi in gaps)
     ivs = tuple((Fraction(a, ad), Fraction(b, bd)) for a, ad, b, bd in ends)
-    return RootIsolation(q, qt, tuple(interior), ivs, signs)
+    return RootIsolation(q, qt, tuple(interior), ivs)
 
 
 def _separate_intervals(poly: Sequence[int], ends: list[sturm.Ends]) -> list[sturm.Ends]:
@@ -527,8 +518,8 @@ def signature_of_poly(d: LaurentPoly) -> StepFun:
     """The step function theta -> 1 - Sign(d(e^(2 pi i theta))).
 
     Requires d normalized with simple circle roots.  Products of torus
-    polynomials produce exact rational breakpoints; everything else gets
-    breakpoints as refinable isolating intervals.
+    polynomials produce exact rational breakpoints, everything else
+    refinable isolating intervals; _alternating reads the values off them.
     """
     if not is_normalized(d):
         raise DomainError(f"{d} is not normalized (symmetric with value 1 at t = 1)")
@@ -537,38 +528,40 @@ def signature_of_poly(d: LaurentPoly) -> StepFun:
         return _signature_of_torus_product(ps)
     iso = isolate_circle_roots(d)
     _check_simple_circle_roots(d, iso)
-    if not iso.intervals:
-        return StepFun.constant(0)
     lower = [
         AlgebraicAngle(iso.interior_poly, lo, hi, upper=False)
         for lo, hi in reversed(iso.intervals)
     ]
     upper = [AlgebraicAngle(iso.interior_poly, lo, hi, upper=True) for lo, hi in iso.intervals]
-    # sign_pattern[i] is the sign below the i-th interval.  The arc after a
-    # lower breakpoint runs down in x, over the gap below its interval; the
-    # arc after an upper one runs up, over the gap above it.
-    sp = iso.sign_pattern
-    values = [1 - s for s in sp[-2::-1] + sp[1:]]
-    return StepFun(lower + upper, values)
+    return _alternating(lower + upper)
 
 
 def _signature_of_torus_product(ps: Sequence[int]) -> StepFun:
     """1 - Sign(prod D_p) with the breakpoints of circle.breakpoint_grid.
 
-    Every D_p is positive on the arc through turn 0, so the value there is 0.
-    With simple roots each breakpoint is a root of exactly one D_p and flips
-    the sign of the product once, so from the first breakpoint on the values
-    alternate 2, 0, 2, ..., ending with the 0 of the arc through turn 0.
+    The product is normalized, and its circle roots are simple unless a p
+    repeats or two D_p share a root, which raises NonSimpleRootError.
     """
-    if not ps:
-        return StepFun.constant(0)
     n, grid = circle.breakpoint_grid(ps)
     xs = [x for x, _ in grid]
     if len(set(ps)) < len(ps) or any(a == b for a, b in zip(xs, xs[1:])):
         raise NonSimpleRootError(
             f"torus product over p = {tuple(ps)} has repeated circle roots"
         )
-    return StepFun([Fraction(x, n) for x in xs], [2, 0] * (len(xs) // 2))
+    return _alternating([Fraction(x, n) for x in xs])
+
+
+def _alternating(breakpoints: Sequence[Angle]) -> StepFun:
+    """1 - Sign(d) for a normalized d, from its circle roots in circular order.
+
+    For d's Chebyshev form q, q(2) = d(1) = 1 > 0: the value is 0 on the arc
+    through turn 0.  _check_simple_circle_roots (or the torus check) has made
+    every root in (-2, 2) simple, and q(-2) = d(-1) is odd, so the half turn
+    is not a root.  So the sign flips at each breakpoint and nowhere else.
+    """
+    if not breakpoints:
+        return StepFun.constant(0)
+    return StepFun(breakpoints, [2, 0] * (len(breakpoints) // 2))
 
 
 @dataclasses.dataclass(frozen=True)

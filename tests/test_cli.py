@@ -378,16 +378,18 @@ def capped_address_space():
 
 
 @pytest.mark.parametrize(
-    "argv, index",
+    "argv, refused",
     [
-        (("certify", "--x", ",".join(["0"] * 20), "--y", "1"), 2097150),
-        (("embed", "--vertex", ",".join(["0"] * 24)), 33554430),
+        (("certify", "--x", ",".join(["0"] * 20), "--y", "1"), "generator index 2097150"),
+        (("embed", "--vertex", ",".join(["0"] * 24)), "generator index 33554430"),
+        (("certify-all", "--depth", "40"), "certify-all pair count 2417851639225959814529025"),
     ],
-    ids=["certify-depth-20", "embed-depth-24"],
+    ids=["certify-depth-20", "embed-depth-24", "certify-all-depth-40"],
 )
-def test_deep_vertex_is_refused_before_the_generator_memo_grows(argv, index):
-    """phi of these vertices asks for p_sequence(index); memoizing every
-    smaller p_m ran out of a 1 GiB address space with a MemoryError."""
+def test_deep_vertex_is_refused_before_the_generator_memo_grows(argv, refused):
+    """phi of the two deep vertices asks for p_sequence(index); memoizing
+    every smaller p_m ran out of a 1 GiB address space with a MemoryError.
+    certify-all at depth 40 built all 2^41 - 1 vertices until it did too."""
     proc = subprocess.run(
         [sys.executable, "-m", "gordian.cli", *argv],
         capture_output=True,
@@ -399,5 +401,5 @@ def test_deep_vertex_is_refused_before_the_generator_memo_grows(argv, index):
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["status"] == "error"
-    assert f"generator index {index} exceeds the materialization guard" in doc["error"]
+    assert f"{refused} exceeds the materialization guard" in doc["error"]
     assert "GORDIAN_MAX_P" in doc["error"]

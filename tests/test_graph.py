@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gordian import circle, signature
-from gordian.errors import DomainError
+from gordian.errors import DomainError, MaterializationLimitError
 from gordian.graph import (
     DetourPlan,
     DetourReport,
@@ -214,6 +214,14 @@ def test_certify_all_depth_two():
         assert cert.lower == d and cert.upper == 2 * d
         assert verify_certificate(cert)
         assert cert.discrepancy == (d > 0)
+
+
+def test_certify_all_refuses_a_pair_count_past_the_guard():
+    """Depth 10 has 2047 vertices and 2 094 081 pairs, past the guard of
+    10^6; depth 3 has 15 vertices and 105 pairs."""
+    with pytest.raises(MaterializationLimitError, match="certify-all pair count 2094081 exceeds"):
+        certify_all(10)
+    assert len(certify_all(3)) == 105
 
 
 def test_certify_pair_infinite_valency():

@@ -691,6 +691,9 @@ normalized_polys = st.builds(
 @example(FIG3 * torus_poly(5))
 @example(torus_poly(3) * torus_poly(15))
 @example(from_basis([1, -2, 1, 0, 4, -3]) ** 2)
+@example(FIG3 * from_basis([1]) ** 2)  # a repeated factor off the circle next to circle roots
+@example(from_basis([1]) ** 2 * torus_poly(3))
+@example(ONE)  # no breakpoints
 def test_signature_matches_reference_check(d):
     assert outcome(signature_of_poly, d) == outcome(reference_signature_of_poly, d)
 
@@ -1152,29 +1155,6 @@ end_root_polys = st.builds(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(end_root_polys)
-@example(parse_poly("t^-4-t^-2-t^2+t^4"))  # roots at x = -2, -1, 1, 2
-@example(parse_poly("t^-3-t^-1-t+t^3"))  # roots at x = -2, 0, 2
-@example(FIG3 * X_MINUS_2 * X_PLUS_2)  # no interior root
-@example(from_basis([-4, 4, 5, 3, -2, -1, -1, -1, -4, 5, 2, -1, 2, 5]) * X_MINUS_2 * X_PLUS_2)
-def test_integer_isolation_matches_the_fraction_reference(d):
-    iso = isolate_circle_roots(d)
-    assert (iso.intervals, iso.sign_pattern) == reference_isolation(d)
-    assert (
-        iso.interior_intervals(),
-        iso.root_at_zero_turn(),
-        iso.root_at_half_turn(),
-        iso.circle_root_count(),
-    ) == reference_predicates(iso.intervals)
-    if torus_factorization(d) is None:
-        assert min_root_gap(d) == reference_min_root_gap(d)
-
-
-# ---------------------------------------------------------------------------
-# gap signs carried from the separated intervals, against q evaluated at
-# every gap midpoint
-
 X_PLUS_3 = parse_poly("t^-1+3+t")  # its root x = -3 lies off the circle
 D3 = torus_poly(3)
 
@@ -1196,8 +1176,12 @@ factored_polys = st.builds(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(factored_polys)
+@settings(max_examples=210, deadline=None)
+@given(end_root_polys | factored_polys)
+@example(parse_poly("t^-4-t^-2-t^2+t^4"))  # roots at x = -2, -1, 1, 2
+@example(parse_poly("t^-3-t^-1-t+t^3"))  # roots at x = -2, 0, 2
+@example(FIG3 * X_MINUS_2 * X_PLUS_2)  # no interior root
+@example(from_basis([-4, 4, 5, 3, -2, -1, -1, -1, -4, 5, 2, -1, 2, 5]) * X_MINUS_2 * X_PLUS_2)
 @example(from_basis([1]))  # no interior root
 @example(from_basis([1]) * X_MINUS_2)  # q = (x - 3)(x - 2): only the root at x = 2
 @example(from_basis([1]) ** 2)  # a repeated part, no circle root
@@ -1205,12 +1189,15 @@ factored_polys = st.builds(
 @example(FIG3 * X_PLUS_2 * X_PLUS_2)  # a repeated root at x = -2
 @example(FIG3 * X_MINUS_2)
 @example(from_basis([-1, 2, 1, 3]) * X_MINUS_2 * X_PLUS_2)
-def test_carried_gap_signs_match_the_gap_midpoints(d):
-    """Square-free q takes its gap signs from the low-end signs carried by the
-    separated intervals; any q must give the signs of q at the gap midpoints."""
+@example(parse_poly("-3"))  # a negative constant q
+def test_integer_isolation_matches_the_fraction_reference(d):
     iso = isolate_circle_roots(d)
     assert (iso.intervals, iso.sign_pattern) == reference_isolation(d)
-    ends = [(-2, 1, -2, 1)] + [(a.numerator, a.denominator, b.numerator, b.denominator) for a, b in iso.intervals]
-    ends.append((2, 1, 2, 1))
-    gaps = zip(ends, ends[1:])
-    assert iso.sign_pattern == tuple(signature._gap_sign(iso.poly, *lo[2:], *hi[:2]) for lo, hi in gaps)
+    assert (
+        iso.interior_intervals(),
+        iso.root_at_zero_turn(),
+        iso.root_at_half_turn(),
+        iso.circle_root_count(),
+    ) == reference_predicates(iso.intervals)
+    if torus_factorization(d) is None:
+        assert min_root_gap(d) == reference_min_root_gap(d)
